@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include "core/astar.hpp"
-#include "core/bucket_queue.hpp"
 #include "core/expansion.hpp"
 #include "core/heuristics.hpp"
 #include "core/hotpath.hpp"
@@ -85,31 +84,16 @@ void BM_OpenListPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_OpenListPushPop);
 
-// ---- bucketed OPEN vs 4-ary heap -----------------------------------------
+// ---- OPEN under an A*-like stream -----------------------------------------
 //
-// The same mixed push/pop/prune stream through both OPEN structures at a
-// steady frontier size, with on-grid integer f values so the comparison is
-// purely structural (the bucket queue only runs on exact grids anyway).
-// bench/run_hotpath.sh commits the ratio to BENCH_pr8.json.
+// A mixed push/pop/prune stream at a steady frontier size: children are
+// pushed above the last popped f (an admissible h makes pops weakly
+// monotone), spread over a ~4k slack band, with periodic incumbent pruning.
 
-constexpr std::uint64_t kBenchFMax = 1 << 17;
-
-core::KeyScale integer_grid() {
-  core::KeyScale ks;
-  ks.exact = true;
-  ks.shift = 0;
-  ks.scale = 1.0;
-  return ks;
-}
-
-template <typename Queue>
-void mixed_push_pop_prune(benchmark::State& state, Queue& open,
-                          std::size_t frontier) {
-  // A*-like stream: children are pushed above the last popped f (an
-  // admissible h makes pops weakly monotone), spread over a ~4k-key slack
-  // band. When the band nears the key-space ceiling the run re-seeds —
-  // amortized noise, identical for both structures.
+void BM_OpenHeapPushPop(benchmark::State& state) {
   constexpr std::uint64_t kSlack = 4096;
+  const auto frontier = static_cast<std::size_t>(state.range(0));
+  core::OpenList open;
   util::Rng rng(41);
   double base = 0.0;
   auto entry = [&] {
@@ -117,12 +101,7 @@ void mixed_push_pop_prune(benchmark::State& state, Queue& open,
                                       rng.uniform_u64(1, kSlack)),
                            static_cast<double>(rng.uniform_u64(0, 64)), 0};
   };
-  auto refill = [&] {
-    open.clear();
-    base = 0.0;
-    for (std::size_t i = 0; i < frontier; ++i) open.push(entry());
-  };
-  refill();
+  for (std::size_t i = 0; i < frontier; ++i) open.push(entry());
   std::size_t tick = 0;
   for (auto _ : state) {
     open.push(entry());
@@ -135,24 +114,10 @@ void mixed_push_pop_prune(benchmark::State& state, Queue& open,
       open.prune_at_least(base + kSlack * 7 / 8);
       while (open.size() < frontier) open.push(entry());
     }
-    if (base + kSlack + 1 >= static_cast<double>(kBenchFMax)) refill();
   }
   state.SetItemsProcessed(state.iterations() * 4);
 }
-
-void BM_OpenHeapPushPop(benchmark::State& state) {
-  core::OpenList open;
-  mixed_push_pop_prune(state, open,
-                       static_cast<std::size_t>(state.range(0)));
-}
 BENCHMARK(BM_OpenHeapPushPop)->Arg(1000)->Arg(100000);
-
-void BM_BucketPushPop(benchmark::State& state) {
-  core::BucketQueue open(integer_grid(), static_cast<double>(kBenchFMax));
-  mixed_push_pop_prune(state, open,
-                       static_cast<std::size_t>(state.range(0)));
-}
-BENCHMARK(BM_BucketPushPop)->Arg(1000)->Arg(100000);
 
 // ---- heuristic evaluation: scalar vs wide --------------------------------
 //

@@ -661,17 +661,6 @@ int main(int argc, char** argv) try {
                 static_cast<unsigned long long>(
                     result.stats.search.generated),
                 result.stats.search.peak_memory_bytes / 1024);
-  if (result.stats.search.queue_kind[0] != '\0') {
-    std::printf("open list: %s", result.stats.search.queue_kind);
-    if (result.stats.search.bucket_peak > 0)
-      std::printf(", peak bucket span %llu",
-                  static_cast<unsigned long long>(
-                      result.stats.search.bucket_peak));
-    if (result.stats.search.queue_fallback[0] != '\0')
-      std::printf(" (auto fallback: %s)",
-                  result.stats.search.queue_fallback);
-    std::printf("\n");
-  }
   if (result.stats.search.loads_full + result.stats.search.loads_incremental >
       0)
     std::printf("context loads: %llu full, %llu delta; arena hot/cold ~%zu/"

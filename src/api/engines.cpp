@@ -86,16 +86,6 @@ core::PruneConfig opt_prune(const Options& options,
   bad_option(engine, "prune", it->second, "all|none|paper");
 }
 
-core::QueueSelect opt_queue(const Options& options,
-                            const std::string& engine) {
-  const auto it = options.find("queue");
-  if (it == options.end()) return core::QueueSelect::kAuto;
-  if (it->second == "auto") return core::QueueSelect::kAuto;
-  if (it->second == "bucket") return core::QueueSelect::kBucket;
-  if (it->second == "heap") return core::QueueSelect::kHeap;
-  bad_option(engine, "queue", it->second, "auto|bucket|heap");
-}
-
 core::HFunction opt_h(const Options& options, const std::string& engine) {
   const auto it = options.find("h");
   if (it == options.end()) return core::HFunction::kPaper;
@@ -153,7 +143,6 @@ class AStarSolver : public Solver {
     config.h = opt_h(request.options, name_);
     config.h_weight =
         opt_double(request.options, name_, "h-weight", 1.0);
-    config.queue = opt_queue(request.options, name_);
     config.epsilon =
         opt_double(request.options, name_, "epsilon", epsilon_default_);
     config.incumbent_updates =
@@ -202,7 +191,6 @@ class ParallelSolver : public Solver {
     config.search.epsilon =
         opt_double(request.options, "parallel", "epsilon", 0.0);
     config.search.h = opt_h(request.options, "parallel");
-    config.search.queue = opt_queue(request.options, "parallel");
     const auto pin = request.options.find("pin");
     if (pin != request.options.end()) {
       if (pin->second == "none")
@@ -440,8 +428,6 @@ const std::vector<OptionSpec> kAStarOptions = {
     {"h-weight", "weighted A* factor (>= 1; solution within that factor)"},
     {"prune", "pruning preset: all|none|paper"},
     {"incumbent", "anytime incumbent updates: 0|1 (default 1)"},
-    {"queue", "OPEN list: auto|bucket|heap (default auto — bucket when the "
-              "instance's f values fit an exact fixed-point grid, else heap)"},
 };
 
 std::vector<OptionSpec> with_epsilon(std::vector<OptionSpec> options,
@@ -506,7 +492,6 @@ void register_builtin_engines(SolverRegistry& registry) {
          "ws mode: dedup-table shard count, <= 65536 (default 0 = 4x ppes); "
          "the table's fixed allocation is checked against max_memory_bytes "
          "up front"},
-        {"queue", "per-PPE OPEN list: auto|bucket|heap (default auto)"},
         {"pin", "CPU placement per PPE: none|compact|spread (default none); "
                 "pins worker threads and first-touches their pages in place"},
         {"naive-term", "paper's first-goal termination: 0|1 (default 0)"}},

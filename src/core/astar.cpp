@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "core/bucket_queue.hpp"
 #include "core/open_list.hpp"
 #include "core/search_kernel.hpp"
 #include "util/timer.hpp"
@@ -54,9 +53,6 @@ struct SearchDriver {
   WarmStart* warm = nullptr;           ///< null = cold solve
   std::vector<std::uint8_t> flags;     ///< per-arena expansion record (warm)
   std::vector<double> bounds;          ///< prune bound at expansion (warm)
-  const char* queue_kind = "";         ///< OPEN structure actually used
-  const char* queue_fallback = "";     ///< why not bucket (when applicable)
-  std::uint64_t bucket_peak = 0;
   util::Timer timer;
   KernelGuard guard;
 
@@ -122,30 +118,20 @@ struct SearchDriver {
         arena.memory_bytes() + seen.memory_bytes() + open_mem;
     result.stats.arena_hot_bytes = arena.hot_memory_bytes();
     result.stats.arena_cold_bytes = arena.cold_memory_bytes();
-    result.stats.queue_kind = queue_kind;
-    result.stats.queue_fallback = queue_fallback;
-    result.stats.bucket_peak = bucket_peak;
     result.stats.elapsed_seconds = timer.seconds();
     sched::validate(result.schedule);
     return result;
   }
 };
 
-// ---- plain A* (4-ary heap or bucket queue on (f, -g, index)) -------------
+// ---- plain A* (4-ary heap on (f, -g, index)) -----------------------------
 
-/// Peak-bucket-span counter: only the bucket queue has one.
-inline std::uint64_t queue_peak(const OpenList&) { return 0; }
-inline std::uint64_t queue_peak(const BucketQueue& q) { return q.peak_span(); }
-
-template <typename Queue>
 struct AStarPolicy {
-  AStarPolicy(SearchDriver& driver, Queue queue)
-      : d(driver),
-        open(std::move(queue)),
-        exact(driver.config.h_weight == 1.0) {}
+  explicit AStarPolicy(SearchDriver& driver)
+      : d(driver), exact(driver.config.h_weight == 1.0) {}
 
   SearchDriver& d;
-  Queue open;
+  OpenList open;
   OpenEntry current{};  ///< last popped entry (f drives progress/domination)
   std::size_t max_open = 1;
   bool exact;
@@ -272,9 +258,8 @@ void seed_frontier(SearchDriver& d, Push&& push) {
   if (d.warm) d.warm->states_skipped = skipped;
 }
 
-template <typename Queue>
-SearchResult run_astar_with(SearchDriver& d, Queue queue) {
-  AStarPolicy<Queue> p(d, std::move(queue));
+SearchResult run_astar(SearchDriver& d) {
+  AStarPolicy p(d);
   seed_frontier(d, [&](StateIndex i) {
     const HotState& s = d.arena.hot(i);
     p.open.push({s.f, s.g, i});
@@ -282,10 +267,7 @@ SearchResult run_astar_with(SearchDriver& d, Queue queue) {
 
   const double bound_factor = std::max(1.0, d.config.h_weight);
 
-  const auto hit = run_search_loop(d.guard, p);
-  d.bucket_peak = queue_peak(p.open);
-
-  if (hit)
+  if (const auto hit = run_search_loop(d.guard, p))
     return d.finish(*hit, false, bound_factor, p.max_open,
                     p.open.memory_bytes());
 
@@ -299,18 +281,6 @@ SearchResult run_astar_with(SearchDriver& d, Queue queue) {
   return d.finish(Termination::kOptimal, p.exact,
                   p.exact ? 1.0 : bound_factor, p.max_open,
                   p.open.memory_bytes());
-}
-
-SearchResult run_astar(SearchDriver& d) {
-  const QueueChoice choice = choose_queue(d.problem, d.config);
-  d.queue_fallback = choice.fallback;
-  if (choice.use_bucket) {
-    d.queue_kind = "bucket";
-    return run_astar_with(
-        d, BucketQueue(d.problem.key_scale(), choice.max_f));
-  }
-  d.queue_kind = "heap";
-  return run_astar_with(d, OpenList());
 }
 
 // ---- Aε* (FOCAL) ---------------------------------------------------------
@@ -334,10 +304,7 @@ struct FocalEntry {
 
 struct FocalPolicy {
   explicit FocalPolicy(SearchDriver& driver)
-      : d(driver), eps(driver.config.epsilon) {
-    d.queue_kind = "focal";
-    if (d.config.queue != QueueSelect::kHeap) d.queue_fallback = "focal";
-  }
+      : d(driver), eps(driver.config.epsilon) {}
 
   SearchDriver& d;
   std::set<FocalEntry> open;

@@ -48,15 +48,6 @@ struct SearchStats {
   /// times touched only at generation/dedup/transfer time.
   std::size_t arena_hot_bytes = 0;
   std::size_t arena_cold_bytes = 0;
-  /// OPEN list actually used: "bucket", "heap", "focal" (Aε* FOCAL set),
-  /// or "" for engines without an OPEN list (IDA*, heuristics).
-  const char* queue_kind = "";
-  /// Why the bucket queue was not used when queue=auto|bucket asked for it
-  /// ("" when it was, or when queue=heap chose the heap explicitly).
-  const char* queue_fallback = "";
-  /// Widest f-key span the bucket queue ever held (0 on the heap path);
-  /// max across PPEs for the parallel engine.
-  std::uint64_t bucket_peak = 0;
   double elapsed_seconds = 0.0;
 
   void absorb(const ExpandStats& e) {

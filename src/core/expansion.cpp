@@ -24,18 +24,6 @@ const char* to_string(Termination t) {
   return "?";
 }
 
-const char* to_string(QueueSelect q) {
-  switch (q) {
-    case QueueSelect::kAuto:
-      return "auto";
-    case QueueSelect::kBucket:
-      return "bucket";
-    case QueueSelect::kHeap:
-      return "heap";
-  }
-  return "?";
-}
-
 ExpansionContext::ExpansionContext(const SearchProblem& problem)
     : problem_(&problem) {
   const auto v = problem.num_nodes();

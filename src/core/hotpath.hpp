@@ -11,9 +11,7 @@
 //
 // Bit-exactness: the wide variants use only add/max/blend — no FMA, no
 // reassociated sums — and max is a selection, so scalar and wide paths
-// return identical doubles on identical inputs. The bucket queue's
-// fixed-point soundness argument (core/key_scale.hpp) therefore covers
-// both paths.
+// return identical doubles on identical inputs.
 #pragma once
 
 #include <cstddef>

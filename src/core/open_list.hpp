@@ -9,9 +9,7 @@
 // Tie-breaking on larger g prefers deeper states among equal-f candidates,
 // which reaches goal states sooner without affecting optimality. The final
 // tie-break on smaller state index makes the order a *strict total* order,
-// so the heap and the bucket queue (core/bucket_queue.hpp) produce
-// identical pop sequences — the property the bucket-vs-heap differential
-// suite pins down.
+// so the pop sequence, and with it every search, is deterministic.
 #pragma once
 
 #include <algorithm>
@@ -100,8 +98,7 @@ class OpenList {
       double live_bound = std::numeric_limits<double>::infinity());
 
   /// States with f below this stay home during load sharing: the donor's
-  /// best f plus a ~0.1% relative slack band. Shared with BucketQueue so
-  /// both queues donate from the same region of the frontier.
+  /// best f plus a ~0.1% relative slack band.
   static double donation_threshold(double best_f) {
     return best_f + std::max(1.0, std::fabs(best_f)) * (1.0 / 1024.0);
   }

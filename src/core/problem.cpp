@@ -66,8 +66,6 @@ void SearchProblem::init_derived() {
     scaled_static_level_[n] = levels_.static_level[n] * sl_scale_;
     scaled_weight_[n] = graph_->weight(n) * sl_scale_;
   }
-
-  key_scale_ = derive_key_scale(*this);  // needs ub_len_, so last
 }
 
 }  // namespace optsched::core

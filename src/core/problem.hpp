@@ -7,7 +7,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/key_scale.hpp"
 #include "dag/equivalence.hpp"
 #include "dag/graph.hpp"
 #include "dag/levels.hpp"
@@ -66,10 +65,6 @@ class SearchProblem {
     return node_by_rank_;
   }
 
-  /// Fixed-point grid certified for every f/g the search can produce
-  /// (core/key_scale.hpp); !exact means the bucket queue must not be used.
-  const KeyScale& key_scale() const noexcept { return key_scale_; }
-
   /// static_level[n] * sl_scale and weight(n) * sl_scale, precomputed so
   /// the heuristic inner loops read contiguous arrays with no per-element
   /// multiply (and so scalar and wide paths share the exact same doubles).
@@ -100,7 +95,6 @@ class SearchProblem {
   std::shared_ptr<const sched::Schedule> ub_;
   double ub_len_ = 0.0;
   double sl_scale_ = 1.0;
-  KeyScale key_scale_;
   std::vector<double> scaled_static_level_;
   std::vector<double> scaled_weight_;
 };

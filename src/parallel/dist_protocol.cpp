@@ -85,7 +85,6 @@ Json search_config_to_json(const core::SearchConfig& config) {
   Json out;
   out["prune"] = std::move(prune);
   out["h"] = static_cast<int>(config.h);
-  out["queue"] = static_cast<int>(config.queue);
   out["hw"] = config.h_weight;
   out["eps"] = config.epsilon;
   return out;
@@ -103,10 +102,6 @@ core::SearchConfig search_config_from_json(const Json& j) {
   OPTSCHED_REQUIRE(h <= static_cast<std::uint32_t>(core::HFunction::kComposite),
                    "unknown h function code");
   config.h = static_cast<core::HFunction>(h);
-  const std::uint32_t queue = as_u32(j.at("queue"), "queue select");
-  OPTSCHED_REQUIRE(queue <= static_cast<std::uint32_t>(core::QueueSelect::kHeap),
-                   "unknown queue select code");
-  config.queue = static_cast<core::QueueSelect>(queue);
   config.h_weight = j.at("hw").as_number();
   config.epsilon = j.at("eps").as_number();
   return config;

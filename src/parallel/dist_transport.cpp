@@ -122,8 +122,7 @@ std::uint64_t get_u64(const Json& j, const char* key) {
 // ---- worker --------------------------------------------------------------
 
 /// One worker process: owns its signature shard, expands from a plain
-/// 4-ary heap (the bucket calendar's key-span accounting is not worth
-/// re-plumbing per process; dist reports queue_kind = "heap").
+/// 4-ary heap.
 class DistWorker {
  public:
   DistWorker(int fd, std::uint32_t rank) : stream_(fd), rank_(rank) {}
@@ -1153,9 +1152,6 @@ class DistCoordinator {
     }
     // Coordinator-side relay bytes (writer threads are joined by now).
     for (const auto& w : workers_) out.par_stats.bytes_sent += w->bytes_written;
-    st.queue_kind = "heap";
-    st.queue_fallback =
-        config_.search.queue == core::QueueSelect::kHeap ? "" : "dist";
     st.elapsed_seconds = timer_.seconds();
 
     out.par_stats.mode = TransportMode::kDistributed;

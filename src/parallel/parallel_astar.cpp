@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 #include <utility>
 
-#include "core/bucket_queue.hpp"
 #include "core/open_list.hpp"
 #include "core/search_kernel.hpp"
 #include "core/signature.hpp"
@@ -33,10 +33,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Per-PPE OPEN list: a 4-ary heap or bucket queue for exact A* (the
-/// instance-wide QueueChoice decides, same rules as the serial engine so
-/// measured speedups compare like with like), an ordered set with the
-/// FOCAL selection rule for Aε*.
+/// Per-PPE OPEN list: the serial engine's 4-ary heap (core::OpenList) for
+/// exact A*, so measured speedups compare like with like, and an ordered
+/// set with the FOCAL selection rule for Aε*.
 class PpeOpen {
  public:
   /// One frontier entry for batched pushes.
@@ -45,38 +44,23 @@ class PpeOpen {
     StateIndex index;
   };
 
-  PpeOpen(double epsilon, const core::KeyScale& ks,
-          const core::QueueChoice& choice)
-      : eps_(epsilon), ks_(&ks), choice_(&choice) {}
-
-  /// Allocate the bucket calendar (when selected) from the calling
-  /// thread: Ppe::run() calls this after pinning, so the array is
-  /// first-touched where the PPE executes. Must precede any push.
-  void prepare() {
-    if (eps_ == 0 && choice_->use_bucket && !bucket_)
-      bucket_.emplace(*ks_, choice_->max_f);
-  }
+  explicit PpeOpen(double epsilon) : eps_(epsilon) {}
 
   bool empty() const {
-    if (bucket_) return bucket_->empty();
     return eps_ > 0 ? set_.empty() : heap_.empty();
   }
 
   std::size_t size() const {
-    if (bucket_) return bucket_->size();
     return eps_ > 0 ? set_.size() : heap_.size();
   }
 
   double min_f() const {
     if (empty()) return kInf;
-    if (bucket_) return bucket_->top().f;
     return eps_ > 0 ? set_.begin()->f : heap_.top().f;
   }
 
   void push(double f, double g, double h, StateIndex idx) {
-    if (bucket_)
-      bucket_->push({f, g, idx});
-    else if (eps_ > 0)
+    if (eps_ > 0)
       set_.insert({f, g, h, idx});
     else
       heap_.push({f, g, idx});
@@ -85,17 +69,14 @@ class PpeOpen {
   /// Batched insert: one O(n) heapify for the heap case
   /// (OpenList::push_batch) — used for transferred/stolen state batches.
   void push_batch(const std::vector<Item>& items) {
-    if (eps_ > 0 && !bucket_) {
+    if (eps_ > 0) {
       for (const Item& it : items) set_.insert({it.f, it.g, it.h, it.index});
       return;
     }
     std::vector<OpenEntry> entries;
     entries.reserve(items.size());
     for (const Item& it : items) entries.push_back({it.f, it.g, it.index});
-    if (bucket_)
-      bucket_->push_batch(entries);
-    else
-      heap_.push_batch(entries);
+    heap_.push_batch(entries);
   }
 
   /// Remove and return the next state to expand (A*: min (f, -g, index);
@@ -103,7 +84,6 @@ class PpeOpen {
   /// FOCAL member preserves the guarantee; see core/astar.cpp).
   StateIndex pop_best() {
     OPTSCHED_ASSERT(!empty());
-    if (bucket_) return bucket_->pop().index;
     if (eps_ == 0) return heap_.pop().index;
     constexpr int kFocalScanCap = 64;
     const double bound = (1.0 + eps_) * set_.begin()->f + 1e-12;
@@ -128,11 +108,6 @@ class PpeOpen {
   std::vector<StateIndex> extract_surplus(std::size_t count,
                                           double live_bound) {
     std::vector<StateIndex> out;
-    if (bucket_) {
-      for (const auto& e : bucket_->extract_surplus(count, live_bound))
-        out.push_back(e.index);
-      return out;
-    }
     if (eps_ == 0) {
       for (const auto& e : heap_.extract_surplus(count, live_bound))
         out.push_back(e.index);
@@ -154,7 +129,6 @@ class PpeOpen {
   }
 
   void clear() {
-    if (bucket_) bucket_->clear();
     heap_.clear();
     set_.clear();
   }
@@ -162,13 +136,7 @@ class PpeOpen {
   /// Entry storage (heap capacity, or node estimate for the FOCAL set —
   /// same factor as the serial Aε*'s accounting in core/astar.cpp).
   std::size_t memory_bytes() const {
-    return (bucket_ ? bucket_->memory_bytes() : 0) + heap_.memory_bytes() +
-           set_.size() * sizeof(Entry) * 3;
-  }
-
-  /// Widest live [lo, hi] bucket-key span observed (0 in heap/FOCAL mode).
-  std::uint64_t peak_span() const {
-    return bucket_ ? bucket_->peak_span() : 0;
+    return heap_.memory_bytes() + set_.size() * sizeof(Entry) * 3;
   }
 
  private:
@@ -183,9 +151,6 @@ class PpeOpen {
   };
 
   double eps_;
-  const core::KeyScale* ks_;
-  const core::QueueChoice* choice_;
-  std::optional<core::BucketQueue> bucket_;  ///< engaged by prepare()
   OpenList heap_;
   std::set<Entry> set_;
 };
@@ -194,15 +159,11 @@ struct Shared {
   Shared(const SearchProblem& p, const ParallelConfig& c)
       : problem(p),
         config(c),
-        queue_choice(core::choose_queue(p, c.search)),
         incumbent(std::min(p.upper_bound(), c.seed_upper_bound)),
         transport(make_transport(c, p, done)) {}
 
   const SearchProblem& problem;
   const ParallelConfig& config;
-  /// Instance-wide OPEN-structure decision, identical for every PPE (same
-  /// eligibility rules as the serial engine — core::choose_queue).
-  core::QueueChoice queue_choice;
   std::atomic<bool> done{false};  ///< before transport: it keeps a pointer
   core::SharedIncumbent<std::vector<std::pair<NodeId, ProcId>>> incumbent;
   std::unique_ptr<Transport> transport;
@@ -255,8 +216,7 @@ class Ppe final : public PpeHost {
         import_finish_(shared.problem.num_nodes(), 0.0),
         import_proc_of_(shared.problem.num_nodes(), machine::kInvalidProc),
         import_proc_ready_(shared.problem.num_procs(), 0.0),
-        open_(shared.config.search.epsilon, shared.problem.key_scale(),
-              shared.queue_choice),
+        open_(shared.config.search.epsilon),
         link_(shared.transport->connect(id)),
         progress_gate_(shared.config.search.controls) {}
 
@@ -274,7 +234,6 @@ class Ppe final : public PpeHost {
   }
   std::size_t arena_hot_bytes() const { return arena_.hot_memory_bytes(); }
   std::size_t arena_cold_bytes() const { return arena_.cold_memory_bytes(); }
-  std::uint64_t bucket_peak() const { return open_.peak_span(); }
 
   // ---- kernel policy interface -------------------------------------------
 
@@ -616,7 +575,6 @@ void Ppe::run() {
   // this PPE will run on (see parallel/placement.hpp).
   if (pin_current_thread(shared_.config.pin, id_, shared_.config.num_ppes))
     shared_.pins_applied.fetch_add(1, std::memory_order_relaxed);
-  open_.prepare();  // bucket calendar, when selected
   arena_.reserve(std::size_t{1} << 12);
   link_->on_thread_start();
 
@@ -801,18 +759,7 @@ ParallelResult parallel_astar_schedule(const SearchProblem& problem,
     out.result.stats.peak_memory_bytes += ppe->memory_bytes();
     out.result.stats.arena_hot_bytes += ppe->arena_hot_bytes();
     out.result.stats.arena_cold_bytes += ppe->arena_cold_bytes();
-    out.result.stats.bucket_peak =
-        std::max(out.result.stats.bucket_peak, ppe->bucket_peak());
     out.par_stats.expanded_per_ppe.push_back(ppe->stats().expanded);
-  }
-  if (eps > 0.0) {
-    out.result.stats.queue_kind = "focal";
-    out.result.stats.queue_fallback =
-        config.search.queue != core::QueueSelect::kHeap ? "focal" : "";
-  } else {
-    out.result.stats.queue_kind =
-        shared.queue_choice.use_bucket ? "bucket" : "heap";
-    out.result.stats.queue_fallback = shared.queue_choice.fallback;
   }
   out.result.stats.elapsed_seconds = shared.timer.seconds();
   out.par_stats.pins_applied =

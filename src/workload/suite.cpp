@@ -214,9 +214,6 @@ SuiteReport run_suite(const std::vector<ScenarioSpec>& corpus,
           rec.proved_optimal = result.proved_optimal;
           rec.bound_factor = result.bound_factor;
           rec.termination = core::to_string(result.reason);
-          rec.queue_kind = result.stats.search.queue_kind;
-          rec.fallback_reason = result.stats.search.queue_fallback;
-          rec.bucket_peak = result.stats.search.bucket_peak;
           rec.pins_applied = result.stats.pins_applied;
           rec.expanded = result.stats.search.expanded;
           rec.generated = result.stats.search.generated;
@@ -358,13 +355,13 @@ std::string SuiteReport::summary() const {
 
 void write_csv(const SuiteReport& report, std::ostream& out) {
   out << "instance,family,engine,nodes,edges,procs,makespan,proved_optimal,"
-         "bound_factor,termination,queue_kind,fallback_reason,expanded,"
+         "bound_factor,termination,expanded,"
          "generated,loads_full,"
          "loads_incremental,peak_memory_bytes,arena_hot_bytes,"
          "arena_cold_bytes,parallel_mode,states_transferred,steals,"
          "shard_hits,effective_ppes,warm_start_used,states_retained,"
          "search_skipped_pct,valid,error,spec,cache_hit,cache_lookups,"
-         "cache_bytes,queue_wait_ms,bucket_peak,pins_applied,"
+         "cache_bytes,queue_wait_ms,pins_applied,"
          "states_serialized,batches_sent,termination_rounds,"
          "states_deduped_at_send,flushes,bytes_sent,time_ms\n";
   for (const auto& r : report.records) {
@@ -373,9 +370,7 @@ void write_csv(const SuiteReport& report, std::ostream& out) {
         << util::format_number(r.makespan)
         << ',' << (r.proved_optimal ? 1 : 0) << ','
         << util::format_number_lenient(r.bound_factor) << ',' << r.termination
-        << ','
-        << r.queue_kind << ',' << r.fallback_reason << ','
-        << r.expanded << ',' << r.generated << ',' << r.loads_full << ','
+        << ',' << r.expanded << ',' << r.generated << ',' << r.loads_full << ','
         << r.loads_incremental << ',' << r.peak_memory_bytes << ','
         << r.arena_hot_bytes << ',' << r.arena_cold_bytes << ','
         << r.parallel_mode << ',' << r.states_transferred << ',' << r.steals
@@ -386,7 +381,7 @@ void write_csv(const SuiteReport& report, std::ostream& out) {
         << csv_escape(r.error) << ',' << csv_escape(r.spec) << ','
         << (r.cache_hit ? 1 : 0) << ',' << r.cache_lookups << ','
         << r.cache_bytes << ',' << util::format_number(r.queue_wait_ms) << ','
-        << r.bucket_peak << ',' << r.pins_applied << ','
+        << r.pins_applied << ','
         << r.states_serialized << ',' << r.batches_sent << ','
         << r.termination_rounds << ','
         << r.states_deduped_at_send << ',' << r.flushes << ','
@@ -478,8 +473,6 @@ void write_json(const SuiteReport& report, std::ostream& out) {
         << ", \"proved_optimal\": " << (r.proved_optimal ? "true" : "false")
         << ", \"bound_factor\": " << json_number(r.bound_factor)
         << ", \"termination\": \"" << json_escape(r.termination)
-        << "\", \"queue_kind\": \"" << json_escape(r.queue_kind)
-        << "\", \"fallback_reason\": \"" << json_escape(r.fallback_reason)
         << "\", \"expanded\": " << r.expanded
         << ", \"generated\": " << r.generated
         << ", \"loads_full\": " << r.loads_full
@@ -518,7 +511,6 @@ void write_json(const SuiteReport& report, std::ostream& out) {
         << ", \"cache_lookups\": " << r.cache_lookups
         << ", \"cache_bytes\": " << r.cache_bytes
         << ", \"queue_wait_ms\": " << json_number(r.queue_wait_ms)
-        << ", \"bucket_peak\": " << r.bucket_peak
         << ", \"pins_applied\": " << r.pins_applied
         << ", \"time_ms\": " << json_number(r.time_ms) << "}"
         << (i + 1 < report.records.size() ? "," : "") << "\n";

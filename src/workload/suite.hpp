@@ -82,11 +82,6 @@ struct SuiteRecord {
   bool proved_optimal = false;
   double bound_factor = 0.0;
   std::string termination;
-  /// OPEN structure the solve ran on ("heap"/"bucket"/"focal"; empty for
-  /// non-search engines) and why queue=auto fell back to the heap (empty
-  /// when it did not). Pure functions of spec and engine.
-  std::string queue_kind;
-  std::string fallback_reason;
   std::uint64_t expanded = 0;
   std::uint64_t generated = 0;
   std::uint64_t loads_full = 0;
@@ -115,11 +110,9 @@ struct SuiteRecord {
   std::uint64_t cache_lookups = 0;
   std::size_t cache_bytes = 0;
   double queue_wait_ms = 0.0;
-  /// Bucket-queue peak key span and pinned-thread count. Run-dependent:
-  /// the parallel engine's peak depends on thread timing and pinning on
-  /// the host's affinity support, so both live in the trailing CSV zone
-  /// determinism diffs strip.
-  std::uint64_t bucket_peak = 0;
+  /// Pinned-thread count. Run-dependent: pinning depends on the host's
+  /// affinity support, so it lives in the trailing CSV zone determinism
+  /// diffs strip.
   std::uint32_t pins_applied = 0;
   /// Distributed-mode counters (parallel engine, mode=dist; 0 elsewhere).
   /// Run-dependent — bound-arrival timing changes which states cross
@@ -162,15 +155,15 @@ struct SuiteReport {
 SuiteReport run_suite(const std::vector<ScenarioSpec>& corpus,
                       const SuiteConfig& config);
 
-/// One header row plus one row per record. The trailing thirteen columns
-/// (cache_hit, cache_lookups, cache_bytes, queue_wait_ms, bucket_peak,
-/// pins_applied, states_serialized, batches_sent, termination_rounds,
-/// states_deduped_at_send, flushes, bytes_sent, time_ms) are run-dependent — serving-layer state, thread-timing and
-/// host-affinity counters, dist-mode communication, and wall-clock — so
-/// determinism diffs strip them by *name* (scripts/strip_csv_columns.awk;
-/// never by position, which silently breaks when columns move); every
-/// earlier column is a pure function of spec and engine for serial
-/// engines.
+/// One header row plus one row per record. The trailing twelve columns
+/// (cache_hit, cache_lookups, cache_bytes, queue_wait_ms, pins_applied,
+/// states_serialized, batches_sent, termination_rounds,
+/// states_deduped_at_send, flushes, bytes_sent, time_ms) are run-dependent
+/// — serving-layer state, host-affinity counters, dist-mode communication,
+/// and wall-clock — so determinism diffs strip them by *name*
+/// (scripts/strip_csv_columns.awk; never by position, which silently
+/// breaks when columns move); every earlier column is a pure function of
+/// spec and engine for serial engines.
 void write_csv(const SuiteReport& report, std::ostream& out);
 
 /// Full report as JSON: suite metadata, per-engine aggregates, failure

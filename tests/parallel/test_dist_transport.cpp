@@ -138,11 +138,13 @@ TEST(DistProtocol, MachineRoundTripsThroughJson) {
 
 TEST(DistProtocol, SearchConfigRoundTripsThroughJson) {
   core::SearchConfig config;
-  config.queue = core::QueueSelect::kBucket;
+  config.h = core::HFunction::kComposite;
+  config.prune.strict_upper_bound = true;
   config.epsilon = 0.25;
   config.h_weight = 1.5;
   const auto back = search_config_from_json(search_config_to_json(config));
-  EXPECT_EQ(back.queue, config.queue);
+  EXPECT_EQ(back.h, config.h);
+  EXPECT_EQ(back.prune.strict_upper_bound, config.prune.strict_upper_bound);
   EXPECT_DOUBLE_EQ(back.epsilon, config.epsilon);
   EXPECT_DOUBLE_EQ(back.h_weight, config.h_weight);
   EXPECT_EQ(search_config_to_json(back).dump(),
