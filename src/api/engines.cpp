@@ -23,6 +23,12 @@ namespace optsched::api {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+
+/// Cap on `ppes` / `procs`: every worker is an OS thread or process, and
+/// the daemon forwards engine options from its clients, so one request
+/// must not be able to ask for an unbounded number of them.
+constexpr std::int64_t kMaxWorkers = 256;
 
 [[noreturn]] void bad_option(const std::string& engine,
                              const std::string& key,
@@ -46,11 +52,12 @@ double opt_double(const Options& options, const std::string& engine,
   }
 }
 
-/// Range-checked before any narrowing cast — a negative value must become
-/// InvalidRequest, not wrap to a huge unsigned count.
+/// Range-checked before any narrowing cast — a negative or oversized value
+/// must become InvalidRequest, not wrap to a different unsigned count.
 std::int64_t opt_int(const Options& options, const std::string& engine,
                      const std::string& key, std::int64_t fallback,
-                     std::int64_t min_value) {
+                     std::int64_t min_value,
+                     std::int64_t max_value = kMaxU32) {
   const auto it = options.find(key);
   if (it == options.end()) return fallback;
   std::int64_t v = 0;
@@ -64,6 +71,9 @@ std::int64_t opt_int(const Options& options, const std::string& engine,
   if (v < min_value)
     bad_option(engine, key, it->second,
                ">= " + std::to_string(min_value));
+  if (v > max_value)
+    bad_option(engine, key, it->second,
+               "<= " + std::to_string(max_value));
   return v;
 }
 
@@ -191,28 +201,14 @@ class ParallelSolver : public Solver {
     config.search.epsilon =
         opt_double(request.options, "parallel", "epsilon", 0.0);
     config.search.h = opt_h(request.options, "parallel");
-    const auto pin = request.options.find("pin");
-    if (pin != request.options.end()) {
-      if (pin->second == "none")
-        config.pin = par::PinPolicy::kNone;
-      else if (pin->second == "compact")
-        config.pin = par::PinPolicy::kCompact;
-      else if (pin->second == "spread")
-        config.pin = par::PinPolicy::kSpread;
-      else
-        bad_option("parallel", "pin", pin->second, "none|compact|spread");
-    }
-    config.num_ppes = static_cast<std::uint32_t>(
-        opt_int(request.options, "parallel", "ppes", 4, /*min_value=*/1));
+    config.num_ppes = static_cast<std::uint32_t>(opt_int(
+        request.options, "parallel", "ppes", 4, /*min_value=*/1, kMaxWorkers));
     config.min_period = static_cast<std::uint32_t>(opt_int(
         request.options, "parallel", "min-period", 2, /*min_value=*/1));
     config.steal_batch = static_cast<std::uint32_t>(opt_int(
         request.options, "parallel", "steal-batch", 8, /*min_value=*/1));
-    const std::int64_t shards = opt_int(
-        request.options, "parallel", "shards", 0, /*min_value=*/0);
-    if (shards > (1 << 16))
-      bad_option("parallel", "shards", std::to_string(shards), "<= 65536");
-    config.shards = static_cast<std::uint32_t>(shards);
+    config.shards = static_cast<std::uint32_t>(opt_int(
+        request.options, "parallel", "shards", 0, /*min_value=*/0, 1 << 16));
     config.naive_termination =
         opt_bool(request.options, "parallel", "naive-term", false);
     const auto mode = request.options.find("mode");
@@ -234,7 +230,8 @@ class ParallelSolver : public Solver {
             "engine 'parallel': option 'procs' requires mode=dist "
             "(use 'ppes' for the in-process modes)");
       config.num_ppes = static_cast<std::uint32_t>(
-          opt_int(request.options, "parallel", "procs", 4, /*min_value=*/1));
+          opt_int(request.options, "parallel", "procs", 4, /*min_value=*/1,
+                  kMaxWorkers));
     }
     if (config.mode == par::TransportMode::kDistributed) {
       if (config.search.epsilon != 0.0)
@@ -250,26 +247,6 @@ class ParallelSolver : public Solver {
             "engine 'parallel': mode=dist always uses sound termination "
             "(drop naive-term)");
     }
-    // Distributed wire tuning: codec version, outbox flush size/age.
-    for (const char* key : {"wire", "batch", "flush-us"}) {
-      if (request.options.count(key) &&
-          config.mode != par::TransportMode::kDistributed)
-        throw InvalidRequest(std::string("engine 'parallel': option '") +
-                             key + "' requires mode=dist");
-    }
-    const auto wire = request.options.find("wire");
-    if (wire != request.options.end()) {
-      if (wire->second == "v1" || wire->second == "1")
-        config.wire_version = 1;
-      else if (wire->second == "v2" || wire->second == "2")
-        config.wire_version = 2;
-      else
-        bad_option("parallel", "wire", wire->second, "v1|v2");
-    }
-    config.flush_states = static_cast<std::uint32_t>(
-        opt_int(request.options, "parallel", "batch", 0, /*min_value=*/0));
-    config.flush_us = static_cast<std::uint32_t>(opt_int(
-        request.options, "parallel", "flush-us", 2000, /*min_value=*/0));
     const auto it = request.options.find("topology");
     if (it != request.options.end()) {
       if (it->second == "ring")
@@ -330,7 +307,6 @@ class ParallelSolver : public Solver {
               out.stats.expanded_per_ppe.end(),
               std::greater<std::uint64_t>());
     out.stats.effective_ppes = r.par_stats.effective_ppes;
-    out.stats.pins_applied = r.par_stats.pins_applied;
     out.stats.states_serialized = r.par_stats.states_serialized;
     out.stats.batches_sent = r.par_stats.batches_sent;
     out.stats.termination_rounds = r.par_stats.termination_rounds;
@@ -469,19 +445,11 @@ void register_builtin_engines(SolverRegistry& registry) {
        "or multi-process HDA* (mode=dist)",
        {.optimal = true, .anytime = true, .parallel = true, .bounded = true,
         .warm_start = true},
-       {{"ppes", "worker thread count (default 4)"},
+       {{"ppes", "worker thread count, 1..256 (default 4)"},
         {"mode", "transport: ring (paper Sec. 3.3) | ws (work stealing + "
                  "sharded dedup) | dist (worker processes over AF_UNIX "
                  "sockets, exact-only); default ring"},
-        {"procs", "dist mode: worker process count (default 4)"},
-        {"wire", "dist mode: wire codec: v2 (binary, delta-encoded "
-                 "batches) | v1 (newline-JSON baseline); default v2"},
-        {"batch", "dist mode: states per destination outbox before a "
-                  "flush (default 0 = auto: 256 under v2, steal-batch "
-                  "under v1)"},
-        {"flush-us", "dist mode, wire v2: max age in microseconds of a "
-                     "pending outbox state before a forced flush "
-                     "(default 2000)"},
+        {"procs", "dist mode: worker process count, 1..256 (default 4)"},
         {"epsilon", "approximation factor (default 0 = exact)"},
         {"h", "heuristic function: zero|paper|path|composite"},
         {"topology", "ring mode: PPE interconnect: ring|mesh|clique"},
@@ -492,8 +460,6 @@ void register_builtin_engines(SolverRegistry& registry) {
          "ws mode: dedup-table shard count, <= 65536 (default 0 = 4x ppes); "
          "the table's fixed allocation is checked against max_memory_bytes "
          "up front"},
-        {"pin", "CPU placement per PPE: none|compact|spread (default none); "
-                "pins worker threads and first-touches their pages in place"},
         {"naive-term", "paper's first-goal termination: 0|1 (default 0)"}},
        [] { return std::make_unique<ParallelSolver>(); }});
   registry.add(

@@ -124,9 +124,6 @@ struct SolveStats {
   /// PPE counts: requested vs. actually run after the initial-frontier
   /// feedability clamp (ws mode on tiny instances); 0 for serial engines.
   std::uint32_t effective_ppes = 0;
-  /// Worker threads successfully pinned to a CPU (parallel engine with
-  /// pin=compact|spread); 0 for pin=none and serial engines.
-  std::uint32_t pins_applied = 0;
   std::uint32_t engines_raced = 0;     ///< portfolio members launched
   /// Distributed mode (parallel engine, mode=dist): states encoded into
   /// wire batches, batch frames relayed worker->worker, and

@@ -1,39 +1,30 @@
 // Wire protocol of the distributed (multi-process) HDA* transport.
 //
-// The coordinator and its worker processes speak one JSON object per
-// line over AF_UNIX socketpairs — the same newline framing and strict
-// util::Json value model as the serving layer (server/protocol.hpp),
-// reused here so a malformed or truncated frame is a typed util::Error,
-// never UB. Every frame carries a type tag "t"; the handshake frames
-// ("hello", "init") also carry a version tag "v" so a coordinator and a
-// worker built from different binaries fail fast instead of
-// misinterpreting each other.
+// The coordinator and its worker processes share one AF_UNIX socketpair
+// each. The hot frames (state batches, statuses, incumbent bounds) use
+// the binary framing of parallel/wire.hpp; every rare frame is one JSON
+// object per line — the same newline framing and strict util::Json value
+// model as the serving layer (server/protocol.hpp), reused here so a
+// malformed or truncated frame is a typed util::Error, never UB. Every
+// JSON frame carries a type tag "t"; the handshake frames ("hello",
+// "init") also carry a version tag "v" so a coordinator and a worker
+// built from different binaries fail fast instead of misinterpreting
+// each other. A JSON frame of any other type is an "unexpected frame
+// type" error.
 //
-// Frame vocabulary (kWireVersion = 2):
+// JSON frame vocabulary (kWireVersion = 2):
 //
 //   worker -> coordinator
 //     hello   {t, v, rank}                     handshake
-//     batch   {t, to, states:[{a:[[n,p]..], f}..]}  states owned by `to`
 //     goal    {t, len, a:[[n,p]..]}            complete schedule found
-//     status  {t, idle, rcvd, exp, open, minf} liveness + Mattern counters
 //     limit   {t, reason}                      worker-side cap tripped
 //     err     {t, msg}                         typed failure before exit
 //     bye     {t, <full counter set>}          final stats, then _exit(0)
 //
 //   coordinator -> worker
-//     init    {t, v, wire, graph, machine, comm, cfg, procs, rank,
-//              seed_bound, mem_bytes, batch, flush_us}
-//     batch   {t, states:[..]}                 relay of another worker's batch
-//     bound   {t, len}                         incumbent broadcast
+//     init    {t, v, graph, machine, comm, cfg, procs, rank, seed_bound,
+//              mem_bytes}
 //     stop    {t, reason}                      terminate (0 = quiescent)
-//
-// Version 2 keeps this vocabulary and the JSON encoding of every rare
-// frame, but moves the hot frames (batch/status/bound) to the binary
-// framing in parallel/wire.hpp when the negotiated `wire` field of the
-// init frame says 2 (the `wire=v1|v2` engine option; the handshake
-// itself is always JSON, so a peer from a different binary still fails
-// fast on the version tag). The JSON batch shapes above remain the v1
-// codec, kept as the differential baseline.
 //
 // A state travels as its assignment sequence from the root — the same
 // self-contained representation the in-process transports ship
@@ -55,12 +46,12 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
 #include "dag/graph.hpp"
 #include "machine/machine.hpp"
-#include "parallel/transport.hpp"
 #include "util/jsonl.hpp"
 
 namespace optsched::par {
@@ -79,22 +70,18 @@ dag::TaskGraph graph_from_json(const util::Json& j);
 util::Json machine_to_json(const machine::Machine& machine);
 machine::Machine machine_from_json(const util::Json& j);
 
-/// The search-shaping subset of SearchConfig: prune flags, h, queue,
-/// h_weight, epsilon. Limits and controls stay coordinator-side.
+/// The search-shaping subset of SearchConfig: prune flags, h, h_weight,
+/// epsilon. Limits and controls stay coordinator-side.
 util::Json search_config_to_json(const core::SearchConfig& config);
 core::SearchConfig search_config_from_json(const util::Json& j);
 
-// ---- state batches -------------------------------------------------------
+// ---- goal schedules ------------------------------------------------------
 
-/// [[node, proc], ...] — the shared payload of batch states and goal
-/// frames.
+/// [[node, proc], ...] — the payload of goal frames.
 util::Json assignments_to_json(
     const std::vector<std::pair<dag::NodeId, machine::ProcId>>& seq);
 std::vector<std::pair<dag::NodeId, machine::ProcId>> assignments_from_json(
     const util::Json& j);
-
-util::Json state_msg_to_json(const StateMsg& msg);
-StateMsg state_msg_from_json(const util::Json& j);
 
 // ---- termination detection -----------------------------------------------
 

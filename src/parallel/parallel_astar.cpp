@@ -167,7 +167,6 @@ struct Shared {
   std::atomic<bool> done{false};  ///< before transport: it keeps a pointer
   core::SharedIncumbent<std::vector<std::pair<NodeId, ProcId>>> incumbent;
   std::unique_ptr<Transport> transport;
-  std::atomic<std::uint32_t> pins_applied{0};
 
   /// 0 none, 1 expansions, 2 time, 3 cancelled, 4 memory.
   std::atomic<int> abort_reason{0};
@@ -570,11 +569,8 @@ void Ppe::initial_distribution() {
 }
 
 void Ppe::run() {
-  // Placement first, allocation second: pinning before the frontier/arena
-  // pages are first-touched places them on the memory local to the CPU
-  // this PPE will run on (see parallel/placement.hpp).
-  if (pin_current_thread(shared_.config.pin, id_, shared_.config.num_ppes))
-    shared_.pins_applied.fetch_add(1, std::memory_order_relaxed);
+  // First touch on the PPE's own thread: the arena's pages land on the
+  // memory local to the CPU this PPE runs on.
   arena_.reserve(std::size_t{1} << 12);
   link_->on_thread_start();
 
@@ -762,8 +758,6 @@ ParallelResult parallel_astar_schedule(const SearchProblem& problem,
     out.par_stats.expanded_per_ppe.push_back(ppe->stats().expanded);
   }
   out.result.stats.elapsed_seconds = shared.timer.seconds();
-  out.par_stats.pins_applied =
-      shared.pins_applied.load(std::memory_order_relaxed);
   shared.transport->collect(out.par_stats);
   out.par_stats.requested_ppes = config.num_ppes;
   out.par_stats.effective_ppes = run_config.num_ppes;

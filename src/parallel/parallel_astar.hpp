@@ -29,7 +29,6 @@
 
 #include "core/astar.hpp"
 #include "parallel/mailbox.hpp"
-#include "parallel/placement.hpp"
 #include "parallel/transport.hpp"
 
 namespace optsched::par {
@@ -54,25 +53,6 @@ struct ParallelConfig {
   /// Stop at the first goal found anywhere (the paper's §3.3 rule; may
   /// return a suboptimal schedule — kept for fidelity experiments).
   bool naive_termination = false;
-
-  /// Distributed (mode=dist) wire codec: 2 = binary framing with
-  /// delta-encoded batches (parallel/wire.hpp), 1 = the newline-JSON
-  /// codec kept as the differential baseline. Semantics are identical;
-  /// only encoding and flush cadence differ (DESIGN.md §11).
-  std::uint32_t wire_version = 2;
-
-  /// Distributed: states per destination outbox before a flush
-  /// ("batch=" engine option). 0 = auto (256 under wire v2, steal_batch
-  /// under wire v1 — the v1 default preserves the PR 9 baseline).
-  std::uint32_t flush_states = 0;
-
-  /// Distributed, wire v2: maximum age in µs of a pending outbox state
-  /// before every nonempty outbox is flushed ("flush-us=" option).
-  std::uint32_t flush_us = 2000;
-
-  /// CPU placement per PPE (parallel/placement.hpp): pin worker threads
-  /// and first-touch their arena/frontier pages from the pinned thread.
-  PinPolicy pin = PinPolicy::kNone;
 
   /// Warm-start seed (SolveSession re-solve): the shared incumbent starts
   /// from min(static upper bound, seed_upper_bound). The parallel engine

@@ -103,9 +103,6 @@ struct ParallelStats {
   /// initial-frontier feedability clamp (ws mode on tiny instances).
   std::uint32_t requested_ppes = 0;
   std::uint32_t effective_ppes = 0;
-  /// Worker threads successfully pinned to a CPU (parallel/placement.hpp);
-  /// 0 when pin=none or the platform has no affinity support.
-  std::uint32_t pins_applied = 0;
   // Distributed (multi-process) scheme — 0 for the in-process modes.
   std::uint64_t states_serialized = 0;   ///< states encoded into wire batches
   std::uint64_t batches_sent = 0;        ///< batch frames shipped worker->worker

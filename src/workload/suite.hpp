@@ -110,10 +110,6 @@ struct SuiteRecord {
   std::uint64_t cache_lookups = 0;
   std::size_t cache_bytes = 0;
   double queue_wait_ms = 0.0;
-  /// Pinned-thread count. Run-dependent: pinning depends on the host's
-  /// affinity support, so it lives in the trailing CSV zone determinism
-  /// diffs strip.
-  std::uint32_t pins_applied = 0;
   /// Distributed-mode counters (parallel engine, mode=dist; 0 elsewhere).
   /// Run-dependent — bound-arrival timing changes which states cross
   /// process boundaries — so they live in the trailing CSV zone too.
@@ -155,12 +151,11 @@ struct SuiteReport {
 SuiteReport run_suite(const std::vector<ScenarioSpec>& corpus,
                       const SuiteConfig& config);
 
-/// One header row plus one row per record. The trailing twelve columns
-/// (cache_hit, cache_lookups, cache_bytes, queue_wait_ms, pins_applied,
+/// One header row plus one row per record. The trailing eleven columns
+/// (cache_hit, cache_lookups, cache_bytes, queue_wait_ms,
 /// states_serialized, batches_sent, termination_rounds,
 /// states_deduped_at_send, flushes, bytes_sent, time_ms) are run-dependent
-/// — serving-layer state, host-affinity counters, dist-mode communication,
-/// and wall-clock — so determinism diffs strip them by *name*
+/// — serving-layer state, dist-mode communication, and wall-clock — so determinism diffs strip them by *name*
 /// (scripts/strip_csv_columns.awk; never by position, which silently
 /// breaks when columns move); every earlier column is a pure function of
 /// spec and engine for serial engines.

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "api/registry.hpp"
 #include "core/ida_star.hpp"
@@ -85,6 +87,26 @@ TEST(Registry, UndeclaredOptionRaisesInvalidRequest) {
     EXPECT_NE(std::string(e.what()).find("prune"), std::string::npos)
         << "error should list the valid option keys";
   }
+  // wire, batch, flush-us and pin are not parallel options, under any
+  // mode: the registry rejects them as undeclared.
+  for (const auto& [key, value] :
+       {std::pair<const char*, const char*>{"wire", "v1"},
+        {"batch", "8"},
+        {"flush-us", "0"},
+        {"pin", "compact"}}) {
+    SolveRequest par_request = figure1_request();
+    par_request.options["mode"] = "dist";
+    par_request.options[key] = value;
+    try {
+      solve("parallel", par_request);
+      FAIL() << "expected InvalidRequest for " << key;
+    } catch (const InvalidRequest& e) {
+      EXPECT_NE(std::string(e.what()).find("does not accept option '" +
+                                           std::string(key) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Registry, BadOptionValueRaisesInvalidRequest) {
@@ -99,6 +121,17 @@ TEST(Registry, BadOptionValueRaisesInvalidRequest) {
   request.options["ppes"] = "-1";
   EXPECT_THROW(solve("parallel", request), InvalidRequest);
   request.options["ppes"] = "0";
+  EXPECT_THROW(solve("parallel", request), InvalidRequest);
+  // Worker counts are capped, and a value past 2^32 must not wrap to a
+  // small count (4294967297 would otherwise run as 1 PPE). Both are
+  // rejected while parsing, before any thread or process starts.
+  request.options["ppes"] = "257";
+  EXPECT_THROW(solve("parallel", request), InvalidRequest);
+  request.options["ppes"] = "4294967297";
+  EXPECT_THROW(solve("parallel", request), InvalidRequest);
+  request.options.clear();
+  request.options["mode"] = "dist";
+  request.options["procs"] = "257";
   EXPECT_THROW(solve("parallel", request), InvalidRequest);
 }
 

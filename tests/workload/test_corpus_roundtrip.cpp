@@ -5,21 +5,31 @@
 // and many seeds. This is what makes a committed corpus file a complete,
 // trustworthy description of a suite run.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "workload/scenario.hpp"
 
 namespace optsched::workload {
 namespace {
 
-/// Write a small STG file once for the stg-family cases.
+/// Write a small STG file once for the stg-family cases. ctest runs each
+/// case in its own process, all sharing this path, so the file is written
+/// under a per-process name and renamed into place: a reader in another
+/// process sees either the old complete file or the new one, never a
+/// truncated one.
 std::string stg_fixture_path() {
   static const std::string path = [] {
     const std::string p = ::testing::TempDir() + "roundtrip_sample.stg";
-    std::ofstream out(p);
-    out << "5\n0 0 0\n1 4 1 0\n2 3 1 0\n3 5 2 1 2\n4 0 1 3\n";
+    const std::string tmp = p + "." + std::to_string(::getpid());
+    {
+      std::ofstream out(tmp);
+      out << "5\n0 0 0\n1 4 1 0\n2 3 1 0\n3 5 2 1 2\n4 0 1 3\n";
+    }
+    std::rename(tmp.c_str(), p.c_str());
     return p;
   }();
   return path;
