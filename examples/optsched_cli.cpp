@@ -16,8 +16,9 @@
 //
 // The `suite` subcommand fans a workload corpus (workload/corpus.hpp) out
 // across a thread pool, cross-checks engines with the differential oracle,
-// and emits CSV/JSON reports. Exit status is nonzero on any oracle
-// mismatch, validator violation, or solve error:
+// and emits CSV/JSON reports (the JSON is one line; pipe it through
+// `jq .` to read it). Exit status is nonzero on any oracle mismatch,
+// validator violation, or solve error:
 //
 //   $ ./optsched_cli suite --corpus tests/data/corpus_smoke.txt
 //       --engines astar,ida,chenyu --jobs 4 --csv report.csv
@@ -34,10 +35,12 @@
 //
 // The serving subcommands run the solver as a resident service
 // (server/daemon.hpp): `serve` hosts a daemon on a Unix-domain socket;
-// `submit` ships a corpus to it (with an optional cold-solve
-// bit-agreement oracle and a cache-hit-rate gate for CI); `status` and
-// `shutdown` poke a running daemon. `suite --via-socket <path>` routes
-// the whole suite runner — oracle, validator and all — through a daemon:
+// `submit` runs one engine over a corpus through it (with an optional
+// cold-solve bit-agreement oracle and a cache-hit-rate gate for CI);
+// `status` and `shutdown` poke a running daemon. `submit` and `suite
+// --via-socket <path>` both drive the suite runner — oracle, validator
+// and all — through server::remote_solver, so `submit --csv` writes the
+// suite's CSV schema:
 //
 //   $ ./optsched_cli serve --socket /tmp/optsched.sock --workers 4 &
 //   $ ./optsched_cli submit --socket /tmp/optsched.sock
@@ -47,7 +50,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 
@@ -61,7 +63,6 @@
 #include "server/daemon.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
-#include "util/timer.hpp"
 #include "workload/churn.hpp"
 #include "workload/corpus.hpp"
 #include "workload/suite.hpp"
@@ -154,22 +155,11 @@ int suite_main(int argc, char** argv) {
       static_cast<std::size_t>(max_memory_mb) * 1024 * 1024;
   config.validate_schedules = !cli.get_bool("no-validate");
   config.differential_oracle = !cli.get_bool("no-oracle");
-  if (cli.has("via-socket")) {
-    // One Client (one connection) per suite worker thread; the daemon
-    // multiplexes them onto its own bounded pool.
-    const std::string socket_path = cli.get("via-socket", "");
-    config.remote_solve = [socket_path](const workload::Instance& instance,
-                                        const std::string& engine_spec,
-                                        const api::SolveLimits& limits) {
-      thread_local std::unique_ptr<server::Client> client;
-      if (!client) client = std::make_unique<server::Client>(socket_path);
-      server::SolveCommand command;
-      command.spec = instance.name;
-      command.engine = engine_spec;
-      command.limits = limits;
-      return server::rebuild_result(instance, client->solve_raw(command));
-    };
-  }
+  // One connection per suite worker thread; the daemon multiplexes them
+  // onto its own bounded pool.
+  if (cli.has("via-socket"))
+    config.remote_solve =
+        server::remote_solver(cli.get("via-socket", ""), /*no_cache=*/false);
   if (cli.get_bool("progress"))
     config.on_record = [](const workload::SuiteRecord& rec) {
       std::fprintf(stderr, "  [%zu] %s: makespan %.2f (%s)%s\n", rec.instance,
@@ -278,6 +268,42 @@ bool bits_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+/// Wrap a remote hook with `submit --oracle`: cold-solve the same run
+/// in-process and throw unless the daemon's reply (cached or fresh)
+/// reproduces it bit for bit; the suite runner records the throw as the
+/// run's error.
+workload::RemoteSolveFn with_cold_oracle(workload::RemoteSolveFn remote) {
+  return [remote = std::move(remote)](const workload::Instance& instance,
+                                      const std::string& engine_spec,
+                                      const api::SolveLimits& limits) {
+    api::SolveResult result = remote(instance, engine_spec, limits);
+    const auto [engine_name, engine_options] =
+        api::parse_engine_spec(engine_spec);
+    api::SolveRequest request(instance.graph, instance.machine,
+                              instance.comm);
+    request.limits = limits;
+    request.options = engine_options;
+    const api::SolveResult cold = api::solve(engine_name, request);
+    if (!bits_equal(result.makespan, cold.makespan))
+      throw util::Error("oracle: makespan " +
+                        util::format_number(result.makespan) + " != cold " +
+                        util::format_number(cold.makespan));
+    for (dag::NodeId n = 0; n < instance.graph.num_nodes(); ++n) {
+      const auto& got = result.schedule.placement(n);
+      const auto& want = cold.schedule.placement(n);
+      if (got.proc != want.proc || !bits_equal(got.start, want.start) ||
+          !bits_equal(got.finish, want.finish))
+        throw util::Error(
+            "oracle: node " + std::to_string(n) + " placed (" +
+            std::to_string(got.proc) + ", " +
+            util::format_number(got.start) + ") but cold solve says (" +
+            std::to_string(want.proc) + ", " +
+            util::format_number(want.start) + ")");
+    }
+    return result;
+  };
+}
+
 /// `optsched_cli serve --socket <path> ...` — host the resident daemon.
 int serve_main(int argc, char** argv) {
   util::Cli cli(argc, argv);
@@ -372,141 +398,60 @@ int submit_main(int argc, char** argv) {
     corpus.push_back(workload::ScenarioSpec::parse(cli.get("spec", "")));
   }
 
-  server::SolveCommand base;
-  base.engine = cli.get("engine", "astar");
-  base.limits.time_budget_ms = cli.get_double("budget-ms", 0.0);
+  workload::SuiteConfig config;
+  config.engines = {cli.get("engine", "astar")};
+  config.jobs = 1;
+  config.limits.time_budget_ms = cli.get_double("budget-ms", 0.0);
   const std::int64_t max_expansions = cli.get_int("max-expansions", 0);
   OPTSCHED_REQUIRE(max_expansions >= 0, "--max-expansions must be >= 0");
-  base.limits.max_expansions = static_cast<std::uint64_t>(max_expansions);
+  config.limits.max_expansions = static_cast<std::uint64_t>(max_expansions);
   const std::int64_t max_memory_mb = cli.get_int("max-memory-mb", 0);
   OPTSCHED_REQUIRE(max_memory_mb >= 0, "--max-memory-mb must be >= 0");
-  base.limits.max_memory_bytes =
+  config.limits.max_memory_bytes =
       static_cast<std::size_t>(max_memory_mb) * 1024 * 1024;
-  base.no_cache = cli.get_bool("no-cache");
   const bool oracle = cli.get_bool("oracle");
   const double min_hit_rate = cli.get_double("min-hit-rate", 0.0);
   OPTSCHED_REQUIRE(min_hit_rate >= 0.0 && min_hit_rate <= 1.0,
                    "--min-hit-rate must be in [0, 1]");
 
-  server::Client client(cli.get("socket", ""));
-  const auto [engine_name, engine_options] =
-      api::parse_engine_spec(base.engine);
+  config.remote_solve = server::remote_solver(cli.get("socket", ""),
+                                              cli.get_bool("no-cache"));
+  if (oracle) config.remote_solve = with_cold_oracle(config.remote_solve);
+  if (cli.get_bool("progress"))
+    config.on_record = [](const workload::SuiteRecord& rec) {
+      std::fprintf(stderr, "  [%zu] %s: makespan %.2f (%s)%s%s\n",
+                   rec.instance, rec.spec.c_str(), rec.makespan,
+                   rec.termination.c_str(),
+                   rec.stats.cache_hit ? " [cache]" : "",
+                   rec.error.empty() ? "" : " ERROR");
+    };
 
-  struct Row {
-    std::string spec, termination, error;
-    double makespan = 0.0, bound_factor = 0.0;
-    bool proved_optimal = false, valid = false, cache_hit = false;
-    std::uint64_t expanded = 0, generated = 0, cache_lookups = 0;
-    std::size_t peak_memory_bytes = 0, cache_bytes = 0;
-    double queue_wait_ms = 0.0, time_ms = 0.0;
-  };
-  std::vector<Row> rows;
+  const workload::SuiteReport report = workload::run_suite(corpus, config);
   std::size_t hits = 0, failures = 0;
   double queue_wait_total = 0.0;
-
-  for (const auto& spec : corpus) {
-    Row row;
-    row.spec = spec.to_string();
-    const util::Timer timer;
-    try {
-      const workload::Instance instance = spec.materialize();
-      server::SolveCommand command = base;
-      command.spec = instance.name;
-      const server::SolveReply reply = client.solve_raw(command);
-      const api::SolveResult result =
-          server::rebuild_result(instance, reply);
-      row.makespan = result.makespan;
-      row.proved_optimal = result.proved_optimal;
-      row.bound_factor = result.bound_factor;
-      row.termination = core::to_string(result.reason);
-      row.expanded = result.stats.search.expanded;
-      row.generated = result.stats.search.generated;
-      row.peak_memory_bytes = result.stats.search.peak_memory_bytes;
-      row.cache_hit = reply.cache_hit;
-      row.cache_lookups = reply.cache_lookups;
-      row.cache_bytes = reply.cache_bytes;
-      row.queue_wait_ms = reply.queue_wait_ms;
-      sched::validate(result.schedule);
-      row.valid = true;
-      if (oracle) {
-        // Cold in-process reference: the daemon's reply — cached or
-        // fresh — must reproduce it bit for bit.
-        api::SolveRequest request(instance.graph, instance.machine,
-                                  instance.comm);
-        request.limits = base.limits;
-        request.options = engine_options;
-        const api::SolveResult cold = api::solve(engine_name, request);
-        if (!bits_equal(result.makespan, cold.makespan))
-          throw util::Error("oracle: makespan " +
-                            util::format_number(result.makespan) +
-                            " != cold " +
-                            util::format_number(cold.makespan));
-        for (dag::NodeId n = 0; n < instance.graph.num_nodes(); ++n) {
-          const auto& got = result.schedule.placement(n);
-          const auto& want = cold.schedule.placement(n);
-          if (got.proc != want.proc || !bits_equal(got.start, want.start) ||
-              !bits_equal(got.finish, want.finish))
-            throw util::Error(
-                "oracle: node " + std::to_string(n) + " placed (" +
-                std::to_string(got.proc) + ", " +
-                util::format_number(got.start) + ") but cold solve says (" +
-                std::to_string(want.proc) + ", " +
-                util::format_number(want.start) + ")");
-        }
-      }
-    } catch (const std::exception& ex) {
-      row.error = ex.what();
-      ++failures;
-    }
-    row.time_ms = timer.millis();
-    if (row.cache_hit) ++hits;
-    queue_wait_total += row.queue_wait_ms;
-    if (cli.get_bool("progress"))
-      std::fprintf(stderr, "  [%zu] %s: makespan %.2f (%s)%s%s\n",
-                   rows.size(), row.spec.c_str(), row.makespan,
-                   row.termination.c_str(), row.cache_hit ? " [cache]" : "",
-                   row.error.empty() ? "" : " ERROR");
-    rows.push_back(std::move(row));
+  for (const auto& rec : report.records) {
+    if (rec.stats.cache_hit) ++hits;
+    if (!rec.valid) ++failures;  // a solve error leaves valid false too
+    queue_wait_total += rec.stats.queue_wait_ms;
   }
-
-  const double hit_rate = rows.empty() ? 0.0
-                                       : static_cast<double>(hits) /
-                                             static_cast<double>(rows.size());
+  const double runs = static_cast<double>(report.records.size());
+  const double hit_rate = runs > 0 ? static_cast<double>(hits) / runs : 0.0;
+  std::printf("%s", report.summary().c_str());
   std::printf("submit: %zu runs via %s, %zu cache hits (%.0f%%), %zu "
               "failures, mean queue wait %.2f ms%s\n",
-              rows.size(), base.engine.c_str(), hits, hit_rate * 100.0,
-              failures,
-              rows.empty() ? 0.0 : queue_wait_total /
-                                       static_cast<double>(rows.size()),
+              report.records.size(), config.engines[0].c_str(), hits,
+              hit_rate * 100.0, failures,
+              runs > 0 ? queue_wait_total / runs : 0.0,
               oracle ? ", oracle: bit-agreement checked" : "");
 
   if (cli.has("csv")) {
     std::ofstream out(cli.get("csv", ""));
     OPTSCHED_REQUIRE(out.good(), "cannot write --csv file");
-    // Same determinism contract as the suite CSV: the serving-layer
-    // columns (cache_hit..queue_wait_ms) and time_ms are run-dependent;
-    // everything else is a pure function of (spec, engine), so CI diffs
-    // passes after stripping those columns by name with
-    // scripts/strip_csv_columns.awk.
-    out << "spec,engine,makespan,proved_optimal,bound_factor,termination,"
-           "expanded,generated,peak_memory_bytes,valid,error,cache_hit,"
-           "cache_lookups,cache_bytes,queue_wait_ms,time_ms\n";
-    for (const auto& r : rows) {
-      out << '"' << r.spec << "\"," << base.engine << ','
-          << util::format_number(r.makespan) << ','
-          << (r.proved_optimal ? 1 : 0) << ','
-          << util::format_number_lenient(r.bound_factor) << ',' << r.termination
-          << ',' << r.expanded << ',' << r.generated << ','
-          << r.peak_memory_bytes << ',' << (r.valid ? 1 : 0) << ','
-          << r.error << ',' << (r.cache_hit ? 1 : 0) << ','
-          << r.cache_lookups << ',' << r.cache_bytes << ','
-          << util::format_number(r.queue_wait_ms) << ','
-          << util::format_number(r.time_ms) << '\n';
-    }
+    workload::write_csv(report, out);
     std::printf("wrote %s\n", cli.get("csv", "").c_str());
   }
 
-  if (failures) return 1;
+  if (!report.ok()) return 1;
   if (hit_rate < min_hit_rate) {
     std::fprintf(stderr, "error: cache hit rate %.2f below --min-hit-rate "
                          "%.2f\n",

@@ -1,6 +1,10 @@
 #include "server/client.hpp"
 
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <thread>
 
 #include "util/socket.hpp"
 #include "util/strings.hpp"
@@ -98,6 +102,33 @@ api::SolveResult rebuild_result(const workload::Instance& instance,
   result.stats.cache_bytes = reply.cache_bytes;
   result.stats.queue_wait_ms = reply.queue_wait_ms;
   return result;
+}
+
+workload::RemoteSolveFn remote_solver(const std::string& socket_path,
+                                      bool no_cache) {
+  struct Connections {
+    std::mutex mu;
+    std::map<std::thread::id, std::unique_ptr<Client>> by_thread;
+  };
+  auto connections = std::make_shared<Connections>();
+  return [socket_path, no_cache, connections](
+             const workload::Instance& instance,
+             const std::string& engine_spec,
+             const api::SolveLimits& limits) {
+    Client* client = nullptr;
+    {
+      const std::lock_guard<std::mutex> lock(connections->mu);
+      auto& slot = connections->by_thread[std::this_thread::get_id()];
+      if (!slot) slot = std::make_unique<Client>(socket_path);
+      client = slot.get();
+    }
+    SolveCommand command;
+    command.spec = instance.name;
+    command.engine = engine_spec;
+    command.limits = limits;
+    command.no_cache = no_cache;
+    return rebuild_result(instance, client->solve_raw(command));
+  };
 }
 
 }  // namespace optsched::server

@@ -8,10 +8,11 @@
 // cross the wire in shortest-exact form, so the rebuilt schedule is
 // bit-identical to the one the daemon's engine produced (rebuild
 // verifies the recomputed finish times against the wire's as a
-// transport-integrity check). This is what lets the CLI's `submit
-// --oracle` and the suite runner's --via-socket mode drive the
-// differential oracle and the ScheduleValidator against daemon results
-// exactly as against in-process ones.
+// transport-integrity check). `remote_solver` packages both as the suite
+// runner's remote hook, which is what lets the CLI's `suite
+// --via-socket` and `submit` drive the differential oracle and the
+// ScheduleValidator against daemon results exactly as against
+// in-process ones.
 //
 // A Client is single-threaded by design (one in-flight command per
 // connection); concurrent drivers open one Client per thread, which is
@@ -23,6 +24,7 @@
 #include "server/protocol.hpp"
 #include "util/socket.hpp"
 #include "workload/scenario.hpp"
+#include "workload/suite.hpp"
 
 namespace optsched::server {
 
@@ -55,5 +57,14 @@ class Client {
 /// (finish-time mismatch) — a transport-integrity violation.
 api::SolveResult rebuild_result(const workload::Instance& instance,
                                 const SolveReply& reply);
+
+/// workload::SuiteConfig::remote_solve hook: each run becomes one
+/// SolveCommand (the instance's canonical spec line, the engine spec, the
+/// limits and `no_cache`) to the daemon at `socket_path`, and the reply
+/// is rebuilt over the local instance. Each calling thread gets its own
+/// connection, opened on first use and closed when the last copy of the
+/// hook is destroyed.
+workload::RemoteSolveFn remote_solver(const std::string& socket_path,
+                                      bool no_cache);
 
 }  // namespace optsched::server

@@ -98,6 +98,19 @@ inline std::string format_number_lenient(double v) {
   return std::string(buf, end);
 }
 
+/// RFC 4180 CSV cell: a cell holding a comma, quote, CR or LF is wrapped
+/// in quotes with inner quotes doubled; any other cell passes verbatim.
+inline std::string csv_escape(const std::string& cell) {
+  if (cell.find_first_of(",\"\n\r") == std::string::npos) return cell;
+  std::string out = "\"";
+  for (const char c : cell) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+  return out;
+}
+
 /// Join with a separator: join({"a","b"}, ",") == "a,b".
 inline std::string join(const std::vector<std::string>& parts,
                         std::string_view sep) {

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "api/session.hpp"
+#include "util/jsonl.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"
 #include "workload/corpus.hpp"
@@ -16,31 +17,6 @@ namespace optsched::workload {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-std::string csv_escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (const char c : cell) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 /// Proved *exactly* optimal (a bounded proof has bound_factor > 1).
 bool exact_proof(const api::SolveResult& r) {
@@ -317,63 +293,57 @@ void write_churn_csv(const ChurnReport& report, std::ostream& out) {
         << r.warm_expanded << ',' << r.cold_expanded << ','
         << (r.warm_start_used ? 1 : 0) << ',' << r.states_retained << ','
         << util::format_number(r.search_skipped_pct) << ','
-        << (r.oracle_ok ? 1 : 0) << ',' << csv_escape(r.error) << ','
-        << csv_escape(r.spec) << ',' << r.warm_time_ms << ','
+        << (r.oracle_ok ? 1 : 0) << ',' << util::csv_escape(r.error) << ','
+        << util::csv_escape(r.spec) << ',' << r.warm_time_ms << ','
         << r.cold_time_ms << "\n";
   }
 }
 
 void write_churn_json(const ChurnReport& report, std::ostream& out) {
-  const auto list = [](const std::vector<std::string>& items) {
-    std::string s;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (i) s += ", ";
-      s += '"' + json_escape(items[i]) + '"';
-    }
-    return s;
+  const auto strings = [](const std::vector<std::string>& items) {
+    return util::Json::Array(items.begin(), items.end());
   };
-  out << "{\n  \"cases\": " << report.cases << ", \"engine\": \""
-      << json_escape(report.engine) << "\", \"ok\": "
-      << (report.ok() ? "true" : "false") << ", \"cancelled\": "
-      << (report.cancelled ? "true" : "false")
-      << ",\n  \"single_delta_skip_mean_pct\": "
-      << util::format_number(report.single_delta_skip_mean_pct)
-      << ",\n  \"by_step\": [";
-  for (std::size_t i = 0; i < report.by_step.size(); ++i) {
-    const auto& s = report.by_step[i];
-    out << (i ? ",\n" : "\n") << "    {\"step\": " << s.step
-        << ", \"cases\": " << s.cases << ", \"warm_expanded_mean\": "
-        << util::format_number(s.warm_expanded_mean)
-        << ", \"cold_expanded_mean\": "
-        << util::format_number(s.cold_expanded_mean)
-        << ", \"skip_mean_pct\": " << util::format_number(s.skip_mean_pct)
-        << ", \"warm_time_ms_mean\": "
-        << util::format_number(s.warm_time_ms_mean)
-        << ", \"cold_time_ms_mean\": "
-        << util::format_number(s.cold_time_ms_mean) << "}";
-  }
-  out << "\n  ],\n  \"mismatches\": [" << list(report.mismatches)
-      << "],\n  \"errors\": [" << list(report.errors)
-      << "],\n  \"records\": [";
-  for (std::size_t i = 0; i < report.records.size(); ++i) {
-    const auto& r = report.records[i];
-    out << (i ? ",\n" : "\n") << "    {\"case\": " << r.case_index
-        << ", \"step\": " << r.step << ", \"spec\": \""
-        << json_escape(r.spec) << "\", \"warm_makespan\": "
-        << util::format_number(r.warm_makespan) << ", \"cold_makespan\": "
-        << util::format_number(r.cold_makespan) << ", \"warm_proved\": "
-        << (r.warm_proved ? "true" : "false") << ", \"cold_proved\": "
-        << (r.cold_proved ? "true" : "false") << ", \"warm_expanded\": "
-        << r.warm_expanded << ", \"cold_expanded\": " << r.cold_expanded
-        << ", \"warm_start_used\": " << (r.warm_start_used ? "true" : "false")
-        << ", \"states_retained\": " << r.states_retained
-        << ", \"search_skipped_pct\": "
-        << util::format_number(r.search_skipped_pct) << ", \"oracle_ok\": "
-        << (r.oracle_ok ? "true" : "false") << ", \"error\": \""
-        << json_escape(r.error) << "\", \"warm_time_ms\": " << r.warm_time_ms
-        << ", \"cold_time_ms\": " << r.cold_time_ms << "}";
-  }
-  out << "\n  ],\n  \"wall_ms\": " << report.wall_ms << "\n}\n";
+  util::Json::Array by_step;
+  for (const auto& s : report.by_step)
+    by_step.push_back(util::Json::Object{
+        {"step", s.step},
+        {"cases", s.cases},
+        {"warm_expanded_mean", s.warm_expanded_mean},
+        {"cold_expanded_mean", s.cold_expanded_mean},
+        {"skip_mean_pct", s.skip_mean_pct},
+        {"warm_time_ms_mean", s.warm_time_ms_mean},
+        {"cold_time_ms_mean", s.cold_time_ms_mean}});
+  util::Json::Array records;
+  for (const auto& r : report.records)
+    records.push_back(util::Json::Object{
+        {"case", r.case_index},
+        {"step", r.step},
+        {"spec", r.spec},
+        {"warm_makespan", r.warm_makespan},
+        {"cold_makespan", r.cold_makespan},
+        {"warm_proved", r.warm_proved},
+        {"cold_proved", r.cold_proved},
+        {"warm_expanded", r.warm_expanded},
+        {"cold_expanded", r.cold_expanded},
+        {"warm_start_used", r.warm_start_used},
+        {"states_retained", r.states_retained},
+        {"search_skipped_pct", r.search_skipped_pct},
+        {"oracle_ok", r.oracle_ok},
+        {"error", r.error},
+        {"warm_time_ms", r.warm_time_ms},
+        {"cold_time_ms", r.cold_time_ms}});
+  const util::Json doc = util::Json::Object{
+      {"cases", report.cases},
+      {"engine", report.engine},
+      {"ok", report.ok()},
+      {"cancelled", report.cancelled},
+      {"single_delta_skip_mean_pct", report.single_delta_skip_mean_pct},
+      {"by_step", std::move(by_step)},
+      {"mismatches", strings(report.mismatches)},
+      {"errors", strings(report.errors)},
+      {"records", std::move(records)},
+      {"wall_ms", report.wall_ms}};
+  out << doc.dump() << '\n';
 }
 
 }  // namespace optsched::workload

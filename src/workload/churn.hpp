@@ -127,8 +127,8 @@ ChurnReport run_churn(const std::vector<ChurnCase>& corpus,
 /// nondeterministic ones for serial engines).
 void write_churn_csv(const ChurnReport& report, std::ostream& out);
 
-/// Full report as JSON: metadata, by-step aggregates, failure lists, and
-/// all records (time fields last).
+/// Full report as one line of JSON (util::Json, sorted keys): metadata,
+/// by-step aggregates, failure lists, and all records.
 void write_churn_json(const ChurnReport& report, std::ostream& out);
 
 }  // namespace optsched::workload

@@ -3,15 +3,18 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
+#include <type_traits>
+#include <variant>
 
 #include "api/registry.hpp"
 #include "sched/validator.hpp"
+#include "util/jsonl.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -77,45 +80,6 @@ void check_oracle(const std::vector<ScenarioSpec>& corpus, std::size_t i,
                   " " + why + " (" + std::to_string(optimal) + " by " +
                   reference->engine + ")"});
   }
-}
-
-std::string csv_escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (const char c : cell) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-/// JSON has no Infinity/NaN literals: non-finite doubles (the
-/// bound_factor of a result that proved nothing) serialize as null.
-std::string json_number(double v) {
-  return std::isfinite(v) ? util::format_number(v) : "null";
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -214,32 +178,7 @@ SuiteReport run_suite(const std::vector<ScenarioSpec>& corpus,
           rec.proved_optimal = result.proved_optimal;
           rec.bound_factor = result.bound_factor;
           rec.termination = core::to_string(result.reason);
-          rec.expanded = result.stats.search.expanded;
-          rec.generated = result.stats.search.generated;
-          rec.loads_full = result.stats.search.loads_full;
-          rec.loads_incremental = result.stats.search.loads_incremental;
-          rec.peak_memory_bytes = result.stats.search.peak_memory_bytes;
-          rec.arena_hot_bytes = result.stats.search.arena_hot_bytes;
-          rec.arena_cold_bytes = result.stats.search.arena_cold_bytes;
-          rec.parallel_mode = result.stats.parallel_mode;
-          rec.states_transferred = result.stats.states_transferred;
-          rec.steals = result.stats.steals;
-          rec.shard_hits = result.stats.shard_hits;
-          rec.expanded_per_ppe = result.stats.expanded_per_ppe;  // sorted
-          rec.effective_ppes = result.stats.effective_ppes;
-          rec.warm_start_used = result.stats.warm_start_used;
-          rec.states_retained = result.stats.states_retained;
-          rec.search_skipped_pct = result.stats.search_skipped_pct;
-          rec.cache_hit = result.stats.cache_hit;
-          rec.cache_lookups = result.stats.cache_lookups;
-          rec.cache_bytes = result.stats.cache_bytes;
-          rec.queue_wait_ms = result.stats.queue_wait_ms;
-          rec.states_serialized = result.stats.states_serialized;
-          rec.batches_sent = result.stats.batches_sent;
-          rec.termination_rounds = result.stats.termination_rounds;
-          rec.states_deduped_at_send = result.stats.states_deduped_at_send;
-          rec.flushes = result.stats.flushes;
-          rec.bytes_sent = result.stats.bytes_sent;
+          rec.stats = result.stats;
           rec.valid = true;
           if (config.validate_schedules) {
             const auto violations = validator.check(result.schedule);
@@ -315,8 +254,8 @@ std::string SuiteReport::summary() const {
       ++runs;
       if (rec.proved_optimal) ++proved;
       makespan.add(rec.makespan);
-      expanded.add(static_cast<double>(rec.expanded));
-      delta += rec.loads_incremental;
+      expanded.add(static_cast<double>(rec.stats.search.expanded));
+      delta += rec.stats.search.loads_incremental;
       time_ms.add(rec.time_ms);
     }
     table.row()
@@ -339,8 +278,8 @@ std::string SuiteReport::summary() const {
   // (in-process suites report zero lookups).
   std::uint64_t lookups = 0, hits = 0;
   for (const auto& rec : records) {
-    lookups += rec.cache_lookups ? 1 : 0;
-    hits += rec.cache_hit ? 1 : 0;
+    lookups += rec.stats.cache_lookups ? 1 : 0;
+    hits += rec.stats.cache_hit ? 1 : 0;
   }
   if (lookups)
     out << "cache: " << hits << "/" << lookups << " runs served from cache\n";
@@ -352,167 +291,258 @@ std::string SuiteReport::summary() const {
   return out.str();
 }
 
-void write_csv(const SuiteReport& report, std::ostream& out) {
-  out << "instance,family,engine,nodes,edges,procs,makespan,proved_optimal,"
-         "bound_factor,termination,expanded,"
-         "generated,loads_full,"
-         "loads_incremental,peak_memory_bytes,arena_hot_bytes,"
-         "arena_cold_bytes,parallel_mode,states_transferred,steals,"
-         "shard_hits,effective_ppes,warm_start_used,states_retained,"
-         "search_skipped_pct,valid,error,spec,cache_hit,cache_lookups,"
-         "cache_bytes,queue_wait_ms,"
-         "states_serialized,batches_sent,termination_rounds,"
-         "states_deduped_at_send,flushes,bytes_sent,time_ms\n";
+namespace {
+
+/// One report cell. Counters stay integers (util::format_number would
+/// write 1000000 as 1e+06); flags print 1/0 in CSV and true/false in JSON.
+using Cell = std::variant<std::uint64_t, double, bool, std::string>;
+
+/// Per-engine JSON aggregate over error-free runs: "total_<name>" or
+/// "max_<name>".
+enum class Aggregate { kNone, kSum, kMax };
+
+struct Column {
+  const char* name;
+  /// Serving-layer state, dist-mode communication or wall-clock: differs
+  /// between reruns, so determinism diffs strip it.
+  bool run_dependent;
+  Aggregate aggregate;
+  Cell (*read)(const SuiteRecord&);
+};
+
+/// The report schema, in CSV column order. The CSV and the JSON records
+/// and aggregates are all generated from this table; a new SolveStats
+/// counter reaches both reports by adding one row.
+const Column kColumns[] = {
+    {"instance", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return std::uint64_t{r.instance}; }},
+    {"family", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return r.family; }},
+    {"engine", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return r.engine; }},
+    {"nodes", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return std::uint64_t{r.nodes}; }},
+    {"edges", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return std::uint64_t{r.edges}; }},
+    {"procs", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return std::uint64_t{r.procs}; }},
+    {"makespan", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return r.makespan; }},
+    {"proved_optimal", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return r.proved_optimal; }},
+    {"bound_factor", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return r.bound_factor; }},
+    {"termination", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return r.termination; }},
+    {"expanded", false, Aggregate::kSum,
+     [](const SuiteRecord& r) -> Cell { return r.stats.search.expanded; }},
+    {"generated", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return r.stats.search.generated; }},
+    {"loads_full", false, Aggregate::kSum,
+     [](const SuiteRecord& r) -> Cell { return r.stats.search.loads_full; }},
+    {"loads_incremental", false, Aggregate::kSum,
+     [](const SuiteRecord& r) -> Cell {
+       return r.stats.search.loads_incremental;
+     }},
+    {"peak_memory_bytes", false, Aggregate::kMax,
+     [](const SuiteRecord& r) -> Cell {
+       return std::uint64_t{r.stats.search.peak_memory_bytes};
+     }},
+    {"arena_hot_bytes", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell {
+       return std::uint64_t{r.stats.search.arena_hot_bytes};
+     }},
+    {"arena_cold_bytes", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell {
+       return std::uint64_t{r.stats.search.arena_cold_bytes};
+     }},
+    {"parallel_mode", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return r.stats.parallel_mode; }},
+    {"states_transferred", false, Aggregate::kSum,
+     [](const SuiteRecord& r) -> Cell { return r.stats.states_transferred; }},
+    {"steals", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return r.stats.steals; }},
+    {"shard_hits", false, Aggregate::kSum,
+     [](const SuiteRecord& r) -> Cell { return r.stats.shard_hits; }},
+    {"effective_ppes", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell {
+       return std::uint64_t{r.stats.effective_ppes};
+     }},
+    {"warm_start_used", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return r.stats.warm_start_used; }},
+    {"states_retained", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return r.stats.states_retained; }},
+    {"search_skipped_pct", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return r.stats.search_skipped_pct; }},
+    {"valid", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return r.valid; }},
+    {"error", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return r.error; }},
+    {"spec", false, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return r.spec; }},
+    {"cache_hit", true, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return r.stats.cache_hit; }},
+    {"cache_lookups", true, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return r.stats.cache_lookups; }},
+    {"cache_bytes", true, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell {
+       return std::uint64_t{r.stats.cache_bytes};
+     }},
+    {"queue_wait_ms", true, Aggregate::kNone,
+     [](const SuiteRecord& r) -> Cell { return r.stats.queue_wait_ms; }},
+    {"states_serialized", true, Aggregate::kSum,
+     [](const SuiteRecord& r) -> Cell { return r.stats.states_serialized; }},
+    {"batches_sent", true, Aggregate::kSum,
+     [](const SuiteRecord& r) -> Cell { return r.stats.batches_sent; }},
+    {"termination_rounds", true, Aggregate::kSum,
+     [](const SuiteRecord& r) -> Cell { return r.stats.termination_rounds; }},
+    {"states_deduped_at_send", true, Aggregate::kSum,
+     [](const SuiteRecord& r) -> Cell {
+       return r.stats.states_deduped_at_send;
+     }},
+    {"flushes", true, Aggregate::kSum,
+     [](const SuiteRecord& r) -> Cell { return r.stats.flushes; }},
+    {"bytes_sent", true, Aggregate::kSum,
+     [](const SuiteRecord& r) -> Cell { return r.stats.bytes_sent; }},
+    {"time_ms", true, Aggregate::kSum,
+     [](const SuiteRecord& r) -> Cell { return r.time_ms; }},
+};
+
+std::string csv_cell(const Cell& cell) {
+  return std::visit(
+      [](const auto& v) -> std::string {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::string>)
+          return util::csv_escape(v);
+        else if constexpr (std::is_same_v<T, bool>)
+          return v ? "1" : "0";
+        else if constexpr (std::is_same_v<T, double>)
+          return util::format_number_lenient(v);
+        else
+          return std::to_string(v);
+      },
+      cell);
+}
+
+/// JSON has no Infinity/NaN literals: a non-finite double becomes null.
+util::Json json_value(double v) {
+  return std::isfinite(v) ? util::Json(v) : util::Json();
+}
+
+util::Json json_cell(const Cell& cell) {
+  return std::visit(
+      [](const auto& v) -> util::Json {
+        if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>)
+          return json_value(v);
+        else
+          return util::Json(v);
+      },
+      cell);
+}
+
+/// Numeric value of an aggregated (counter or time) cell.
+double cell_number(const Cell& cell) {
+  return std::visit(
+      [](const auto& v) -> double {
+        if constexpr (std::is_same_v<std::decay_t<decltype(v)>, std::string>)
+          return 0.0;
+        else
+          return static_cast<double>(v);
+      },
+      cell);
+}
+
+util::Json string_array(const std::vector<std::string>& list) {
+  return util::Json::Array(list.begin(), list.end());
+}
+
+util::Json engine_aggregate(const SuiteReport& report,
+                            const std::string& engine) {
+  util::Accumulator makespan;
+  std::uint64_t runs = 0, proved = 0, cache_hits = 0;
+  double totals[std::size(kColumns)] = {};
   for (const auto& r : report.records) {
-    out << r.instance << ',' << r.family << ',' << csv_escape(r.engine) << ','
-        << r.nodes << ',' << r.edges << ',' << r.procs << ','
-        << util::format_number(r.makespan)
-        << ',' << (r.proved_optimal ? 1 : 0) << ','
-        << util::format_number_lenient(r.bound_factor) << ',' << r.termination
-        << ',' << r.expanded << ',' << r.generated << ',' << r.loads_full << ','
-        << r.loads_incremental << ',' << r.peak_memory_bytes << ','
-        << r.arena_hot_bytes << ',' << r.arena_cold_bytes << ','
-        << r.parallel_mode << ',' << r.states_transferred << ',' << r.steals
-        << ',' << r.shard_hits << ',' << r.effective_ppes << ','
-        << (r.warm_start_used ? 1 : 0) << ',' << r.states_retained << ','
-        << util::format_number(r.search_skipped_pct) << ','
-        << (r.valid ? 1 : 0) << ','
-        << csv_escape(r.error) << ',' << csv_escape(r.spec) << ','
-        << (r.cache_hit ? 1 : 0) << ',' << r.cache_lookups << ','
-        << r.cache_bytes << ',' << util::format_number(r.queue_wait_ms) << ','
-        << r.states_serialized << ',' << r.batches_sent << ','
-        << r.termination_rounds << ','
-        << r.states_deduped_at_send << ',' << r.flushes << ','
-        << r.bytes_sent << ','
-        << util::format_number(r.time_ms) << '\n';
+    if (r.engine != engine || !r.error.empty()) continue;
+    ++runs;
+    if (r.proved_optimal) ++proved;
+    if (r.stats.cache_hit) ++cache_hits;
+    makespan.add(r.makespan);
+    for (std::size_t c = 0; c < std::size(kColumns); ++c) {
+      if (kColumns[c].aggregate == Aggregate::kNone) continue;
+      const double v = cell_number(kColumns[c].read(r));
+      totals[c] = kColumns[c].aggregate == Aggregate::kSum
+                      ? totals[c] + v
+                      : std::max(totals[c], v);
+    }
+  }
+  util::Json out = util::Json::Object{
+      {"runs", runs},
+      {"proved_optimal", proved},
+      {"cache_hits", cache_hits},
+      {"mean_makespan", json_value(makespan.mean())}};
+  for (std::size_t c = 0; c < std::size(kColumns); ++c) {
+    if (kColumns[c].aggregate == Aggregate::kNone) continue;
+    const char* prefix =
+        kColumns[c].aggregate == Aggregate::kSum ? "total_" : "max_";
+    out[prefix + std::string(kColumns[c].name)] = json_value(totals[c]);
+  }
+  return out;
+}
+
+util::Json record_json(const SuiteRecord& r) {
+  util::Json out = util::Json::Object{};
+  for (const Column& column : kColumns)
+    out[column.name] = json_cell(column.read(r));
+  // JSON-only: the per-PPE expansion distribution, stored sorted
+  // descending (never in PPE-id order, which is timing-dependent).
+  const auto& per_ppe = r.stats.expanded_per_ppe;
+  out["expanded_per_ppe"] = util::Json::Array(per_ppe.begin(), per_ppe.end());
+  out["ppe_expanded_min"] = per_ppe.empty() ? 0 : per_ppe.back();
+  out["ppe_expanded_max"] = per_ppe.empty() ? 0 : per_ppe.front();
+  return out;
+}
+
+}  // namespace
+
+void write_csv(const SuiteReport& report, std::ostream& out) {
+  for (std::size_t c = 0; c < std::size(kColumns); ++c)
+    out << (c ? "," : "") << kColumns[c].name;
+  out << '\n';
+  for (const auto& r : report.records) {
+    for (std::size_t c = 0; c < std::size(kColumns); ++c)
+      out << (c ? "," : "") << csv_cell(kColumns[c].read(r));
+    out << '\n';
   }
 }
 
+std::vector<std::string> run_dependent_columns() {
+  std::vector<std::string> names;
+  for (const Column& column : kColumns)
+    if (column.run_dependent) names.emplace_back(column.name);
+  return names;
+}
+
 void write_json(const SuiteReport& report, std::ostream& out) {
-  auto string_list = [&](const std::vector<std::string>& list) {
-    std::string s = "[";
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      if (i) s += ", ";
-      s += '"' + json_escape(list[i]) + '"';
-    }
-    return s + "]";
-  };
+  util::Json aggregates = util::Json::Object{};
+  for (const auto& engine : report.engines)
+    aggregates[engine] = engine_aggregate(report, engine);
+  util::Json::Array records;
+  records.reserve(report.records.size());
+  for (const auto& r : report.records) records.push_back(record_json(r));
 
-  out << "{\n  \"suite\": {\"instances\": " << report.instances
-      << ", \"jobs\": " << report.jobs << ", \"ok\": "
-      << (report.ok() ? "true" : "false") << ", \"cancelled\": "
-      << (report.cancelled ? "true" : "false")
-      << ", \"engines\": " << string_list(report.engines)
-      << ", \"wall_ms\": " << json_number(report.wall_ms) << "},\n";
-
-  out << "  \"aggregates\": {";
-  bool first_engine = true;
-  for (const auto& engine : report.engines) {
-    util::Accumulator makespan, time_ms;
-    std::uint64_t runs = 0, proved = 0, expanded = 0, delta = 0, full = 0;
-    std::uint64_t transferred = 0, shard_hits = 0, cache_hits = 0;
-    std::uint64_t serialized = 0, batches = 0, term_rounds = 0;
-    std::uint64_t send_dedup = 0, flushes = 0, wire_bytes = 0;
-    std::size_t peak = 0;
-    for (const auto& r : report.records) {
-      if (r.engine != engine || !r.error.empty()) continue;
-      ++runs;
-      if (r.proved_optimal) ++proved;
-      if (r.cache_hit) ++cache_hits;
-      makespan.add(r.makespan);
-      expanded += r.expanded;
-      delta += r.loads_incremental;
-      full += r.loads_full;
-      transferred += r.states_transferred;
-      shard_hits += r.shard_hits;
-      serialized += r.states_serialized;
-      batches += r.batches_sent;
-      term_rounds += r.termination_rounds;
-      send_dedup += r.states_deduped_at_send;
-      flushes += r.flushes;
-      wire_bytes += r.bytes_sent;
-      peak = std::max(peak, r.peak_memory_bytes);
-      time_ms.add(r.time_ms);
-    }
-    out << (first_engine ? "\n" : ",\n") << "    \"" << json_escape(engine)
-        << "\": {\"runs\": " << runs << ", \"proved_optimal\": " << proved
-        << ", \"mean_makespan\": " << json_number(makespan.mean())
-        << ", \"total_expanded\": " << expanded
-        << ", \"total_loads_full\": " << full
-        << ", \"total_loads_incremental\": " << delta
-        << ", \"total_states_transferred\": " << transferred
-        << ", \"total_shard_hits\": " << shard_hits
-        << ", \"total_states_serialized\": " << serialized
-        << ", \"total_batches_sent\": " << batches
-        << ", \"total_termination_rounds\": " << term_rounds
-        << ", \"total_states_deduped_at_send\": " << send_dedup
-        << ", \"total_flushes\": " << flushes
-        << ", \"total_bytes_sent\": " << wire_bytes
-        << ", \"cache_hits\": " << cache_hits
-        << ", \"max_peak_memory_bytes\": " << peak
-        << ", \"total_time_ms\": " << json_number(time_ms.sum()) << "}";
-    first_engine = false;
-  }
-  out << "\n  },\n";
-
-  out << "  \"oracle_mismatches\": " << string_list(report.oracle_mismatches)
-      << ",\n  \"validator_failures\": "
-      << string_list(report.validator_failures)
-      << ",\n  \"errors\": " << string_list(report.errors) << ",\n";
-
-  out << "  \"records\": [\n";
-  for (std::size_t i = 0; i < report.records.size(); ++i) {
-    const auto& r = report.records[i];
-    out << "    {\"instance\": " << r.instance << ", \"family\": \""
-        << json_escape(r.family) << "\", \"engine\": \""
-        << json_escape(r.engine) << "\", \"nodes\": " << r.nodes
-        << ", \"edges\": " << r.edges << ", \"procs\": " << r.procs
-        << ", \"makespan\": " << json_number(r.makespan)
-        << ", \"proved_optimal\": " << (r.proved_optimal ? "true" : "false")
-        << ", \"bound_factor\": " << json_number(r.bound_factor)
-        << ", \"termination\": \"" << json_escape(r.termination)
-        << "\", \"expanded\": " << r.expanded
-        << ", \"generated\": " << r.generated
-        << ", \"loads_full\": " << r.loads_full
-        << ", \"loads_incremental\": " << r.loads_incremental
-        << ", \"peak_memory_bytes\": " << r.peak_memory_bytes
-        << ", \"arena_hot_bytes\": " << r.arena_hot_bytes
-        << ", \"arena_cold_bytes\": " << r.arena_cold_bytes;
-    if (!r.parallel_mode.empty()) {
-      // Sorted descending (not PPE-id order) so reruns diff on the load
-      // distribution alone; min/max aggregates for quick scans.
-      out << ", \"parallel_mode\": \"" << json_escape(r.parallel_mode)
-          << "\", \"states_transferred\": " << r.states_transferred
-          << ", \"steals\": " << r.steals
-          << ", \"shard_hits\": " << r.shard_hits << ", \"expanded_per_ppe\": [";
-      for (std::size_t p = 0; p < r.expanded_per_ppe.size(); ++p)
-        out << (p ? ", " : "") << r.expanded_per_ppe[p];
-      out << "], \"ppe_expanded_min\": "
-          << (r.expanded_per_ppe.empty() ? 0 : r.expanded_per_ppe.back())
-          << ", \"ppe_expanded_max\": "
-          << (r.expanded_per_ppe.empty() ? 0 : r.expanded_per_ppe.front())
-          << ", \"effective_ppes\": " << r.effective_ppes
-          << ", \"states_serialized\": " << r.states_serialized
-          << ", \"batches_sent\": " << r.batches_sent
-          << ", \"termination_rounds\": " << r.termination_rounds
-          << ", \"states_deduped_at_send\": " << r.states_deduped_at_send
-          << ", \"flushes\": " << r.flushes
-          << ", \"bytes_sent\": " << r.bytes_sent;
-    }
-    out << ", \"warm_start_used\": " << (r.warm_start_used ? "true" : "false")
-        << ", \"states_retained\": " << r.states_retained
-        << ", \"search_skipped_pct\": "
-        << util::format_number(r.search_skipped_pct);
-    out << ", \"valid\": " << (r.valid ? "true" : "false") << ", \"error\": \""
-        << json_escape(r.error) << "\", \"spec\": \"" << json_escape(r.spec)
-        << "\", \"cache_hit\": " << (r.cache_hit ? "true" : "false")
-        << ", \"cache_lookups\": " << r.cache_lookups
-        << ", \"cache_bytes\": " << r.cache_bytes
-        << ", \"queue_wait_ms\": " << json_number(r.queue_wait_ms)
-        << ", \"time_ms\": " << json_number(r.time_ms) << "}"
-        << (i + 1 < report.records.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
+  const util::Json doc = util::Json::Object{
+      {"suite", util::Json::Object{{"instances", report.instances},
+                                   {"jobs", report.jobs},
+                                   {"ok", report.ok()},
+                                   {"cancelled", report.cancelled},
+                                   {"engines", string_array(report.engines)},
+                                   {"wall_ms", json_value(report.wall_ms)}}},
+      {"aggregates", std::move(aggregates)},
+      {"oracle_mismatches", string_array(report.oracle_mismatches)},
+      {"validator_failures", string_array(report.validator_failures)},
+      {"errors", string_array(report.errors)},
+      {"records", std::move(records)}};
+  out << doc.dump() << '\n';
 }
 
 }  // namespace optsched::workload

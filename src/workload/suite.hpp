@@ -30,6 +30,11 @@
 
 namespace optsched::workload {
 
+/// SuiteConfig::remote_solve: (instance, engine spec, limits) -> result.
+using RemoteSolveFn = std::function<api::SolveResult(
+    const Instance& instance, const std::string& engine_spec,
+    const api::SolveLimits& limits)>;
+
 struct SuiteConfig {
   /// Engine specs, "name[:k=v[:k=v...]]" — a registry name plus engine
   /// options (api::parse_engine_spec), so one suite can cross-check
@@ -48,28 +53,23 @@ struct SuiteConfig {
   std::function<void(const struct SuiteRecord&)> on_record;
   /// Remote execution hook: when set, every (instance, engine) run is
   /// delegated here instead of calling api::solve in-process — the
-  /// CLI's `suite --via-socket` mode routes runs through a
-  /// server::Client, reusing this corpus fan-out as the daemon's
-  /// concurrent-load driver. The hook receives the locally
-  /// materialized instance (its `name` is the canonical spec line) and
-  /// must return a result whose schedule borrows that instance, so the
+  /// CLI's `suite --via-socket` and `submit` route runs through a daemon
+  /// with server::remote_solver, reusing this corpus fan-out as the
+  /// daemon's load driver. The hook receives the locally materialized
+  /// instance (its `name` is the canonical spec line) and must return a
+  /// result whose schedule borrows that instance, so the
   /// ScheduleValidator and the differential oracle apply to remote
-  /// results exactly as to local ones. Called concurrently from
-  /// `jobs` worker threads; open one connection per thread.
-  std::function<api::SolveResult(
-      const Instance& instance, const std::string& engine_spec,
-      const api::SolveLimits& limits)>
-      remote_solve;
+  /// results exactly as to local ones. Called concurrently from `jobs`
+  /// worker threads; a thrown exception becomes the run's error.
+  RemoteSolveFn remote_solve;
 };
 
-/// One (instance, engine) run. For serial engines every field except
+/// One (instance, engine) run: its identity, its verdict and the
+/// engine's counters as returned. For serial engines every field except
 /// time_ms is a pure function of the spec and engine, so reports diff
 /// cleanly across runs; multithreaded engines (`parallel`, `portfolio`)
 /// report timing-dependent search stats, which is why the CLI's default
-/// engine set is serial-only. Per-PPE expansion counts are stored sorted
-/// (descending) and emitted with min/max aggregates — per-thread
-/// attribution is timing-dependent, so reports never depend on PPE
-/// numbering, only on the (still timing-dependent) distribution.
+/// engine set is serial-only.
 struct SuiteRecord {
   std::size_t instance = 0;  ///< corpus index
   std::string spec;          ///< canonical scenario line
@@ -82,43 +82,7 @@ struct SuiteRecord {
   bool proved_optimal = false;
   double bound_factor = 0.0;
   std::string termination;
-  std::uint64_t expanded = 0;
-  std::uint64_t generated = 0;
-  std::uint64_t loads_full = 0;
-  std::uint64_t loads_incremental = 0;
-  std::size_t peak_memory_bytes = 0;
-  std::size_t arena_hot_bytes = 0;
-  std::size_t arena_cold_bytes = 0;
-  std::string parallel_mode;  ///< "ring"/"ws"; empty for serial engines
-  std::uint64_t states_transferred = 0;  ///< parallel: shipped or stolen
-  std::uint64_t steals = 0;              ///< parallel ws mode
-  std::uint64_t shard_hits = 0;  ///< duplicates filtered by the shared table
-  std::vector<std::uint64_t> expanded_per_ppe;  ///< sorted descending
-  /// PPEs actually run after the feedability clamp (parallel ws mode; 0
-  /// for serial engines).
-  std::uint32_t effective_ppes = 0;
-  /// Warm-start columns (SolveStats): always present so suite and churn
-  /// reports share a schema; one-shot suite runs leave them false/0.
-  bool warm_start_used = false;
-  std::uint64_t states_retained = 0;
-  double search_skipped_pct = 0.0;
-  /// Serving-layer columns (SolveStats): false/0 for in-process runs;
-  /// filled by the --via-socket remote hook. cache_lookups/cache_bytes
-  /// snapshot daemon-lifetime state and queue_wait_ms is wall-clock, so
-  /// like time_ms they are excluded from determinism diffs.
-  bool cache_hit = false;
-  std::uint64_t cache_lookups = 0;
-  std::size_t cache_bytes = 0;
-  double queue_wait_ms = 0.0;
-  /// Distributed-mode counters (parallel engine, mode=dist; 0 elsewhere).
-  /// Run-dependent — bound-arrival timing changes which states cross
-  /// process boundaries — so they live in the trailing CSV zone too.
-  std::uint64_t states_serialized = 0;
-  std::uint64_t batches_sent = 0;
-  std::uint64_t termination_rounds = 0;
-  std::uint64_t states_deduped_at_send = 0;
-  std::uint64_t flushes = 0;
-  std::uint64_t bytes_sent = 0;
+  api::SolveStats stats{};
   bool valid = false;  ///< ScheduleValidator verdict (true when disabled)
   std::string error;   ///< exception text; empty on success
   double time_ms = 0.0;
@@ -151,18 +115,23 @@ struct SuiteReport {
 SuiteReport run_suite(const std::vector<ScenarioSpec>& corpus,
                       const SuiteConfig& config);
 
-/// One header row plus one row per record. The trailing eleven columns
-/// (cache_hit, cache_lookups, cache_bytes, queue_wait_ms,
-/// states_serialized, batches_sent, termination_rounds,
-/// states_deduped_at_send, flushes, bytes_sent, time_ms) are run-dependent
-/// — serving-layer state, dist-mode communication, and wall-clock — so determinism diffs strip them by *name*
-/// (scripts/strip_csv_columns.awk; never by position, which silently
-/// breaks when columns move); every earlier column is a pure function of
-/// spec and engine for serial engines.
+/// One header row plus one row per record, RFC 4180 quoted. Columns
+/// are addressed by *name* (scripts/strip_csv_columns.awk), never by
+/// position. The run-dependent ones — serving-layer state, dist-mode
+/// communication counters and wall-clock, listed by
+/// run_dependent_columns() — come last; every earlier column is a pure
+/// function of spec and engine for serial engines, so determinism diffs
+/// strip exactly that list.
 void write_csv(const SuiteReport& report, std::ostream& out);
 
-/// Full report as JSON: suite metadata, per-engine aggregates, failure
-/// lists, and all records (time fields last).
+/// Names of the run-dependent report columns, in CSV order.
+std::vector<std::string> run_dependent_columns();
+
+/// Full report as one line of JSON (util::Json, sorted keys): suite
+/// metadata, per-engine aggregates, failure lists, and every record with
+/// the CSV's columns plus the per-PPE expansion distribution. A
+/// non-finite number (the bound_factor of a result that proved nothing)
+/// is written as null.
 void write_json(const SuiteReport& report, std::ostream& out);
 
 }  // namespace optsched::workload

@@ -1,7 +1,8 @@
 // Daemon end-to-end over a real Unix-domain socket: cache soundness
 // (a hit bit-agrees with a cold in-process solve), typed admission
 // rejects under queue and memory pressure (never OOM, never a hang),
-// malformed-frame survival, and clean shutdown.
+// malformed-frame survival, clean shutdown, and the suite runner's
+// remote hook agreeing with in-process runs.
 #include "server/daemon.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,8 +25,11 @@
 #include "api/registry.hpp"
 #include "sched/list_scheduler.hpp"
 #include "server/client.hpp"
+#include "util/jsonl.hpp"
 #include "util/socket.hpp"
+#include "workload/corpus.hpp"
 #include "workload/scenario.hpp"
+#include "workload/suite.hpp"
 
 namespace optsched::server {
 namespace {
@@ -433,6 +438,61 @@ TEST(Daemon, ConcurrentClientsAllGetConsistentAnswers) {
   const StatusReply status = Client(daemon.config().socket_path).status();
   EXPECT_GE(status.cache_hits_served, 1u);
   EXPECT_EQ(status.queue_depth, 0u);
+
+  daemon.stop();
+  daemon.wait();
+}
+
+/// A suite report's JSON records minus the run-dependent columns and the
+/// search counters the solve reply does not carry (it ships expanded,
+/// generated and peak_memory_bytes only, so remote runs report 0 for
+/// these), one dump() per record.
+std::vector<std::string> comparable_records(
+    const workload::SuiteReport& report) {
+  std::ostringstream json;
+  workload::write_json(report, json);
+  const util::Json doc = util::Json::parse(json.str());
+  std::vector<std::string> out;
+  for (const auto& rec : doc.at("records").as_array()) {
+    util::Json::Object fields = rec.as_object();
+    for (const auto& name : workload::run_dependent_columns())
+      fields.erase(name);
+    for (const char* name : {"loads_full", "loads_incremental",
+                             "arena_hot_bytes", "arena_cold_bytes"})
+      fields.erase(name);
+    out.push_back(util::Json(std::move(fields)).dump());
+  }
+  return out;
+}
+
+TEST(Daemon, SuiteRemoteSolverMatchesInProcessAndReplaysFromCache) {
+  Daemon daemon(base_config());
+  daemon.start();
+  std::istringstream in(
+      "family=random nodes=6 ccr=1 machine=clique:2 seeds=31..34\n"
+      "family=forkjoin width=3 jitter=1 machine=ring:3 comm=hop seeds=1..2\n");
+  const auto corpus = workload::parse_corpus(in);
+
+  workload::SuiteConfig config;
+  config.engines = {"astar", "chenyu", "aeps:epsilon=0.2"};
+  config.jobs = 2;
+  const workload::SuiteReport local = workload::run_suite(corpus, config);
+  config.remote_solve = remote_solver(daemon.config().socket_path, false);
+  const workload::SuiteReport cold = workload::run_suite(corpus, config);
+  const workload::SuiteReport warm = workload::run_suite(corpus, config);
+
+  ASSERT_TRUE(local.ok()) << local.summary();
+  ASSERT_TRUE(cold.ok()) << cold.summary();
+  ASSERT_TRUE(warm.ok()) << warm.summary();
+  const auto want = comparable_records(local);
+  EXPECT_EQ(comparable_records(cold), want);
+  EXPECT_EQ(comparable_records(warm), want);
+  for (const auto& rec : cold.records) {
+    EXPECT_FALSE(rec.stats.cache_hit) << rec.spec << " " << rec.engine;
+    EXPECT_GT(rec.stats.cache_lookups, 0u);
+  }
+  for (const auto& rec : warm.records)
+    EXPECT_TRUE(rec.stats.cache_hit) << rec.spec << " " << rec.engine;
 
   daemon.stop();
   daemon.wait();

@@ -44,9 +44,9 @@ TEST(ParallelSuite, BothModesAgreeWithSerialAcrossCommittedCorpus) {
     // Parallel records carry their transport mode and the per-PPE
     // expansion distribution, stored sorted (descending) so reports never
     // depend on thread-arrival order.
-    EXPECT_FALSE(rec.parallel_mode.empty()) << rec.engine;
-    EXPECT_TRUE(std::is_sorted(rec.expanded_per_ppe.rbegin(),
-                               rec.expanded_per_ppe.rend()))
+    EXPECT_FALSE(rec.stats.parallel_mode.empty()) << rec.engine;
+    EXPECT_TRUE(std::is_sorted(rec.stats.expanded_per_ppe.rbegin(),
+                               rec.stats.expanded_per_ppe.rend()))
         << rec.engine;
   }
 }

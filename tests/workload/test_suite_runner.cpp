@@ -1,15 +1,19 @@
 // SuiteRunner: sharded fan-out must produce deterministic reports, and the
 // differential oracle / ScheduleValidator must actually catch engines that
 // lie about optimality or emit infeasible schedules (verified by
-// registering deliberately broken engines).
+// registering deliberately broken engines). The report writers must emit
+// CSV and JSON that a strict reader parses back to the same values.
 #include "workload/suite.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "api/registry.hpp"
 #include "sched/list_scheduler.hpp"
+#include "util/jsonl.hpp"
+#include "workload/churn.hpp"
 #include "workload/corpus.hpp"
 
 namespace optsched::workload {
@@ -185,16 +189,74 @@ TEST(SuiteRunner, WritesWellFormedCsvAndJson) {
   std::size_t rows = 0;
   for (std::string line; std::getline(lines, line);) ++rows;
   EXPECT_EQ(rows, report.records.size());
+  // The hetero machine spec contains a comma: its CSV cell must be quoted.
+  EXPECT_NE(csv.str().find("\"family=gauss"), std::string::npos);
 
   std::ostringstream json;
   write_json(report, json);
-  const std::string text = json.str();
-  EXPECT_NE(text.find("\"suite\""), std::string::npos);
-  EXPECT_NE(text.find("\"aggregates\""), std::string::npos);
-  EXPECT_NE(text.find("\"ok\": true"), std::string::npos);
-  EXPECT_NE(text.find("\"records\""), std::string::npos);
-  // The hetero machine spec contains a comma: its CSV cell must be quoted.
-  EXPECT_NE(csv.str().find("\"family=gauss"), std::string::npos);
+  const util::Json doc = util::Json::parse(json.str());
+  const util::Json& suite = doc.at("suite");
+  EXPECT_TRUE(suite.at("ok").as_bool());
+  EXPECT_FALSE(suite.at("cancelled").as_bool());
+  EXPECT_EQ(suite.at("instances").as_number(), 10.0);
+  EXPECT_TRUE(doc.at("errors").as_array().empty());
+  // The keys bench/run_server.sh reads.
+  EXPECT_TRUE(suite.at("wall_ms").is_number());
+  const util::Json& astar = doc.at("aggregates").at("astar");
+  EXPECT_EQ(astar.at("runs").as_number(), 10.0);
+  EXPECT_EQ(astar.at("cache_hits").as_number(), 0.0);
+  EXPECT_TRUE(astar.at("total_time_ms").is_number());
+  const auto& records = doc.at("records").as_array();
+  ASSERT_EQ(records.size(), report.records.size());
+  std::uint64_t total_expanded = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const SuiteRecord& rec = report.records[i];
+    EXPECT_TRUE(records[i].at("time_ms").is_number());
+    EXPECT_EQ(records[i].at("spec").as_string(), rec.spec);
+    EXPECT_EQ(records[i].at("makespan").as_number(), rec.makespan);
+    EXPECT_EQ(records[i].at("expanded").as_number(),
+              static_cast<double>(rec.stats.search.expanded));
+    EXPECT_TRUE(records[i].at("proved_optimal").as_bool());
+    total_expanded += rec.stats.search.expanded;
+  }
+  EXPECT_EQ(astar.at("total_expanded").as_number(),
+            static_cast<double>(total_expanded));
+}
+
+TEST(SuiteRunner, CsvQuotesCellsHoldingSeparatorsQuotesAndNewlines) {
+  SuiteReport report;
+  report.engines = {"astar"};
+  SuiteRecord rec;
+  rec.engine = "astar";
+  rec.error = "placed (1, 2.5) \"here\"\nand\rthere";
+  report.records.push_back(rec);
+  std::ostringstream csv;
+  write_csv(report, csv);
+
+  // Minimal RFC 4180 reader: a quoted cell may hold , " CR and LF.
+  std::vector<std::vector<std::string>> rows(1, std::vector<std::string>(1));
+  bool quoted = false;
+  const std::string text = csv.str();
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (quoted && c == '"' && i + 1 < text.size() && text[i + 1] == '"') {
+      rows.back().back() += '"';
+      ++i;
+    } else if (c == '"') {
+      quoted = !quoted;
+    } else if (!quoted && c == ',') {
+      rows.back().emplace_back();
+    } else if (!quoted && c == '\n') {
+      rows.emplace_back(1);
+    } else {
+      rows.back().back() += c;
+    }
+  }
+  ASSERT_EQ(rows.size(), 3u);  // header, one record, empty tail
+  ASSERT_EQ(rows[1].size(), rows[0].size());
+  const auto error_column =
+      std::find(rows[0].begin(), rows[0].end(), "error") - rows[0].begin();
+  EXPECT_EQ(rows[1][error_column], rec.error);
 }
 
 TEST(SuiteRunner, JsonStaysParseableWithUnprovedResults) {
@@ -206,8 +268,28 @@ TEST(SuiteRunner, JsonStaysParseableWithUnprovedResults) {
   const SuiteReport report = run_suite(small_corpus(), config);
   std::ostringstream json;
   write_json(report, json);
-  EXPECT_EQ(json.str().find(": inf"), std::string::npos) << json.str();
-  EXPECT_NE(json.str().find("\"bound_factor\": null"), std::string::npos);
+  const util::Json doc = util::Json::parse(json.str());
+  const auto& records = doc.at("records").as_array();
+  ASSERT_EQ(records.size(), report.records.size());
+  for (const auto& rec : records) {
+    EXPECT_TRUE(rec.at("bound_factor").is_null()) << rec.dump();
+    EXPECT_FALSE(rec.at("proved_optimal").as_bool());
+  }
+}
+
+TEST(ChurnReport, JsonRoundTripsControlCharactersAndExactTimes) {
+  ChurnReport report;
+  report.engine = "astar";
+  ChurnRecord rec;
+  rec.error = "a\r\x01" "b";
+  rec.warm_time_ms = 1.0 / 3.0;
+  report.records.push_back(rec);
+  std::ostringstream json;
+  write_churn_json(report, json);
+  const util::Json doc = util::Json::parse(json.str());
+  const util::Json& got = doc.at("records").as_array().at(0);
+  EXPECT_EQ(got.at("error").as_string(), rec.error);
+  EXPECT_EQ(got.at("warm_time_ms").as_number(), rec.warm_time_ms);
 }
 
 }  // namespace
