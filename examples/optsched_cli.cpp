@@ -80,6 +80,32 @@ std::string engine_help() {
   return names + " (default astar; see --list-engines)";
 }
 
+/// One "name value" line per counter of `s`'s list (util/counters.hpp);
+/// with `skip_zero`, counters that are 0, false or empty are left out.
+template <class S>
+void print_counters(const S& s, bool skip_zero) {
+  S::for_each_counter(
+      [skip_zero](const util::CounterInfo& c, const auto& v) {
+        using T = std::decay_t<decltype(v)>;
+        if (skip_zero && v == T{}) return;
+        std::string text;
+        if constexpr (std::is_same_v<T, std::vector<std::uint64_t>>) {
+          for (const auto n : v)
+            text += (text.empty() ? "" : "/") + std::to_string(n);
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          text = v;
+        } else if constexpr (std::is_same_v<T, bool>) {
+          text = v ? "yes" : "no";
+        } else if constexpr (std::is_floating_point_v<T>) {
+          text = util::format_number_lenient(v);
+        } else {
+          text = std::to_string(v);
+        }
+        std::printf("  %-24s %s\n", c.name, text.c_str());
+      },
+      s);
+}
+
 std::string verdict_for(const api::SolveResult& r) {
   if (r.proved_optimal)
     return r.bound_factor == 1.0
@@ -355,13 +381,8 @@ int serve_main(int argc, char** argv) {
               daemon.config().memory_budget >> 20);
   std::fflush(stdout);
   daemon.wait();
-  const server::StatusReply status = daemon.status();
-  std::printf("daemon stopped: %llu accepted, %llu completed, %llu "
-              "rejected, %llu cache hits served\n",
-              static_cast<unsigned long long>(status.accepted),
-              static_cast<unsigned long long>(status.completed),
-              static_cast<unsigned long long>(status.rejected),
-              static_cast<unsigned long long>(status.cache_hits_served));
+  std::printf("daemon stopped:\n");
+  print_counters(daemon.status(), /*skip_zero=*/false);
   return 0;
 }
 
@@ -469,23 +490,10 @@ int status_main(int argc, char** argv) {
   cli.validate();
   OPTSCHED_REQUIRE(cli.has("socket"), "status requires --socket <path>");
   server::Client client(cli.get("socket", ""));
-  const server::StatusReply s = client.status();
-  std::printf("jobs: %llu accepted, %llu completed, %llu rejected; queue "
-              "%zu/%zu, %zu in flight on %u workers\n",
-              static_cast<unsigned long long>(s.accepted),
-              static_cast<unsigned long long>(s.completed),
-              static_cast<unsigned long long>(s.rejected), s.queue_depth,
-              s.queue_cap, s.in_flight, s.workers);
-  std::printf("memory governor: %zu/%zu MiB reserved\n",
-              s.memory_reserved >> 20, s.memory_budget >> 20);
-  std::printf("cache: %llu/%llu hits, %zu entries (%zu/%zu KiB), %llu "
-              "insertions, %llu evictions\n",
-              static_cast<unsigned long long>(s.cache.hits),
-              static_cast<unsigned long long>(s.cache.lookups),
-              s.cache.entries, s.cache.bytes >> 10,
-              s.cache.byte_budget >> 10,
-              static_cast<unsigned long long>(s.cache.insertions),
-              static_cast<unsigned long long>(s.cache.evictions));
+  const server::StatusReply status = client.status();
+  print_counters(status, /*skip_zero=*/false);
+  std::printf("cache:\n");
+  print_counters(status.cache, /*skip_zero=*/false);
   return 0;
 }
 
@@ -599,80 +607,9 @@ int main(int argc, char** argv) try {
   sched::validate(result.schedule);
   std::printf("schedule length: %.2f  [%s]\n", result.makespan,
               verdict_for(result).c_str());
-  if (result.stats.search.expanded > 0)
-    std::printf("states expanded: %llu, generated: %llu, peak memory ~%zu "
-                "KiB\n",
-                static_cast<unsigned long long>(result.stats.search.expanded),
-                static_cast<unsigned long long>(
-                    result.stats.search.generated),
-                result.stats.search.peak_memory_bytes / 1024);
-  if (result.stats.search.loads_full + result.stats.search.loads_incremental >
-      0)
-    std::printf("context loads: %llu full, %llu delta; arena hot/cold ~%zu/"
-                "%zu KiB\n",
-                static_cast<unsigned long long>(
-                    result.stats.search.loads_full),
-                static_cast<unsigned long long>(
-                    result.stats.search.loads_incremental),
-                result.stats.search.arena_hot_bytes / 1024,
-                result.stats.search.arena_cold_bytes / 1024);
-  if (!result.stats.parallel_mode.empty()) {
-    // expanded_per_ppe is sorted descending (the per-thread attribution is
-    // timing-dependent); print the distribution plus min/max.
-    const auto& per_ppe = result.stats.expanded_per_ppe;
-    std::string balance;
-    for (const auto n : per_ppe)
-      balance += (balance.empty() ? "" : "/") + std::to_string(n);
-    std::printf("parallel[%s]: %zu PPEs, expanded max/min %llu/%llu (%s)\n",
-                result.stats.parallel_mode.c_str(), per_ppe.size(),
-                static_cast<unsigned long long>(
-                    per_ppe.empty() ? 0 : per_ppe.front()),
-                static_cast<unsigned long long>(
-                    per_ppe.empty() ? 0 : per_ppe.back()),
-                balance.c_str());
-    if (result.stats.parallel_mode == "dist") {
-      std::printf("  wire: %llu states serialized into %llu batches, "
-                  "%llu relayed; termination: %llu rounds\n",
-                  static_cast<unsigned long long>(
-                      result.stats.states_serialized),
-                  static_cast<unsigned long long>(result.stats.batches_sent),
-                  static_cast<unsigned long long>(
-                      result.stats.states_transferred),
-                  static_cast<unsigned long long>(
-                      result.stats.termination_rounds));
-      std::printf("  wire: %llu deduped at send, %llu gathered writes "
-                  "(%.1f batches/write), %llu bytes on the wire\n",
-                  static_cast<unsigned long long>(
-                      result.stats.states_deduped_at_send),
-                  static_cast<unsigned long long>(result.stats.flushes),
-                  result.stats.flushes
-                      ? static_cast<double>(result.stats.batches_sent) /
-                            static_cast<double>(result.stats.flushes)
-                      : 0.0,
-                  static_cast<unsigned long long>(result.stats.bytes_sent));
-    }
-    else if (result.stats.parallel_mode == "ws")
-      std::printf("  stealing: %llu steals (%llu states) in %llu attempts, "
-                  "%llu donations; dedup: %u shards, %llu duplicates "
-                  "filtered\n",
-                  static_cast<unsigned long long>(result.stats.steals),
-                  static_cast<unsigned long long>(
-                      result.stats.states_transferred),
-                  static_cast<unsigned long long>(
-                      result.stats.steal_attempts),
-                  static_cast<unsigned long long>(result.stats.donations),
-                  result.stats.shards,
-                  static_cast<unsigned long long>(result.stats.shard_hits));
-    else
-      std::printf("  comm: %llu messages (%llu states), %llu rounds\n",
-                  static_cast<unsigned long long>(result.stats.messages_sent),
-                  static_cast<unsigned long long>(
-                      result.stats.states_transferred),
-                  static_cast<unsigned long long>(result.stats.comm_rounds));
-  }
-  if (result.stats.engines_raced > 0)
-    std::printf("portfolio: %u engines raced, '%s' won\n",
-                result.stats.engines_raced, result.engine.c_str());
+  // The producing engine (the portfolio's winner) and its counters.
+  std::printf("%s counters:\n", result.engine.c_str());
+  print_counters(result.stats, /*skip_zero=*/true);
   std::printf("\n");
   if (cli.get_bool("gantt", true))
     std::printf("%s", sched::render_gantt(result.schedule).c_str());

@@ -291,28 +291,12 @@ class ParallelSolver : public Solver {
     const core::SearchProblem& problem = request_problem(request, storage);
     par::ParallelResult r = par::parallel_astar_schedule(problem, config);
     SolveResult out = from_search(std::move(r.result));
-    out.stats.parallel_mode = par::to_string(r.par_stats.mode);
-    out.stats.messages_sent = r.par_stats.messages_sent;
-    out.stats.states_transferred = r.par_stats.states_transferred;
-    out.stats.comm_rounds = r.par_stats.comm_rounds;
-    out.stats.steal_attempts = r.par_stats.steal_attempts;
-    out.stats.steals = r.par_stats.steals;
-    out.stats.donations = r.par_stats.donations;
-    out.stats.shards = r.par_stats.shards;
-    out.stats.shard_hits = r.par_stats.shard_hits;
+    static_cast<par::ParallelStats&>(out.stats) = std::move(r.par_stats);
     // Per-thread attribution is timing-dependent: report the sorted
     // distribution so identical runs diff cleanly modulo load balance.
-    out.stats.expanded_per_ppe = std::move(r.par_stats.expanded_per_ppe);
     std::sort(out.stats.expanded_per_ppe.begin(),
               out.stats.expanded_per_ppe.end(),
               std::greater<std::uint64_t>());
-    out.stats.effective_ppes = r.par_stats.effective_ppes;
-    out.stats.states_serialized = r.par_stats.states_serialized;
-    out.stats.batches_sent = r.par_stats.batches_sent;
-    out.stats.termination_rounds = r.par_stats.termination_rounds;
-    out.stats.states_deduped_at_send = r.par_stats.states_deduped_at_send;
-    out.stats.flushes = r.par_stats.flushes;
-    out.stats.bytes_sent = r.par_stats.bytes_sent;
     if (request.warm) {
       const bool used = request.warm->seed_schedule != nullptr;
       out.stats.warm_start_used = used;
@@ -346,13 +330,7 @@ class ChenYuSolver : public Solver {
     out.proved_optimal = r.proved_optimal;
     out.bound_factor = r.proved_optimal ? 1.0 : kInf;
     out.reason = r.reason;
-    out.stats.search.expanded = r.expanded;
-    out.stats.search.generated = r.generated;
-    out.stats.search.loads_full = r.loads_full;
-    out.stats.search.loads_incremental = r.loads_incremental;
-    out.stats.search.assignments_replayed = r.assignments_replayed;
-    out.stats.search.peak_memory_bytes = r.peak_memory_bytes;
-    out.stats.search.elapsed_seconds = r.elapsed_seconds;
+    out.stats.search = r.stats;
     out.stats.paths_evaluated = r.paths_evaluated;
     return out;
   }

@@ -21,6 +21,7 @@
 
 #include "core/astar.hpp"
 #include "core/controls.hpp"
+#include "parallel/stats.hpp"
 #include "sched/schedule.hpp"
 
 namespace optsched::api {
@@ -101,44 +102,41 @@ struct SolveRequest {
   const core::SearchProblem* problem = nullptr;
 };
 
+/// Serving-layer counters (src/server), filled in by server::Client when
+/// the solve was answered by a resident daemon; always false/0 for
+/// in-process solves. The daemon's SolveReply extends this struct too:
+/// they describe one request, not the cached solve. `cache_hit` means
+/// the result came from the daemon's LRU result cache verbatim;
+/// `cache_lookups` and `cache_bytes` snapshot the daemon-lifetime lookup
+/// count and resident cache size at reply time; `queue_wait_ms` is the
+/// admission-to-start wait in the daemon's worker pool (0 for hits,
+/// which bypass the pool).
+struct ServeStats {
+  bool cache_hit = false;
+  std::uint64_t cache_lookups = 0;
+  std::size_t cache_bytes = 0;
+  double queue_wait_ms = 0.0;
+
+  friend bool operator==(const ServeStats&, const ServeStats&) = default;
+
+  /// The counter list (util/counters.hpp).
+  template <class V, class... S>
+  static void for_each_counter(V&& v, S&... s) {
+    using namespace util::counter_rows;
+    v(C{"cache_hit", kMax, kRun}, s.cache_hit...);
+    v(C{"cache_lookups", kMax, kRun}, s.cache_lookups...);
+    v(C{"cache_bytes", kMax, kRun}, s.cache_bytes...);
+    v(C{"queue_wait_ms", kMax, kRun}, s.queue_wait_ms...);
+  }
+};
+
 /// Superset of every engine's counters; fields an engine does not track
-/// stay 0 (e.g. peak_memory_bytes for the heuristics, comm counters for
-/// the serial engines).
-struct SolveStats {
+/// stay 0 (e.g. peak_memory_bytes for the heuristics, the transport
+/// counters inherited from ParallelStats for the serial engines).
+struct SolveStats : par::ParallelStats, ServeStats {
   core::SearchStats search{};          ///< expansions, memory, time, ...
   std::uint64_t paths_evaluated = 0;   ///< Chen & Yu underestimate work
-  /// Parallel transport: "ring" or "ws" (empty for serial engines).
-  std::string parallel_mode;
-  std::uint64_t messages_sent = 0;     ///< parallel engine, ring mode
-  std::uint64_t states_transferred = 0;  ///< shipped over mailboxes or stolen
-  std::uint64_t comm_rounds = 0;
-  std::uint64_t steal_attempts = 0;    ///< parallel engine, ws mode
-  std::uint64_t steals = 0;
-  std::uint64_t donations = 0;
-  std::uint32_t shards = 0;            ///< sharded dedup table (ws mode)
-  std::uint64_t shard_hits = 0;  ///< duplicates filtered by the shared table
-  /// Per-PPE expansion counts, sorted descending — per-thread attribution
-  /// is timing-dependent, so reports emit the distribution (and min/max/
-  /// total aggregates), never the PPE-id order.
-  std::vector<std::uint64_t> expanded_per_ppe;
-  /// PPE counts: requested vs. actually run after the initial-frontier
-  /// feedability clamp (ws mode on tiny instances); 0 for serial engines.
-  std::uint32_t effective_ppes = 0;
   std::uint32_t engines_raced = 0;     ///< portfolio members launched
-  /// Distributed mode (parallel engine, mode=dist): states encoded into
-  /// wire batches, batch frames relayed worker->worker, and
-  /// quiescence-condition evaluations by the coordinator's termination
-  /// detector; all 0 for the in-process modes and serial engines.
-  std::uint64_t states_serialized = 0;
-  std::uint64_t batches_sent = 0;
-  std::uint64_t termination_rounds = 0;
-  /// Distributed wire-path counters (PR 10): remote children suppressed
-  /// by the send-side duplicate filter, gathered socket writes on the
-  /// worker side, and total bytes written to dist sockets across all
-  /// processes. All 0 for in-process modes and serial engines.
-  std::uint64_t states_deduped_at_send = 0;
-  std::uint64_t flushes = 0;
-  std::uint64_t bytes_sent = 0;
   /// Warm-start re-solve (SolveSession): whether any previous-solve state
   /// was reused, how many arena states survived the delta, and the
   /// session's estimate of search work skipped vs. the previous solve
@@ -147,18 +145,23 @@ struct SolveStats {
   bool warm_start_used = false;
   std::uint64_t states_retained = 0;
   double search_skipped_pct = 0.0;
-  /// Serving-layer counters (src/server), filled in by server::Client
-  /// when the solve was answered by a resident daemon; always
-  /// false/0 for in-process solves. `cache_hit` means the result came
-  /// from the daemon's LRU result cache verbatim; `cache_lookups` and
-  /// `cache_bytes` snapshot the daemon-lifetime lookup count and
-  /// resident cache size at reply time; `queue_wait_ms` is the
-  /// admission-to-start wait in the daemon's worker pool (0 for hits,
-  /// which bypass the pool).
-  bool cache_hit = false;
-  std::uint64_t cache_lookups = 0;
-  std::size_t cache_bytes = 0;
-  double queue_wait_ms = 0.0;
+
+  friend bool operator==(const SolveStats&, const SolveStats&) = default;
+
+  /// The engine's counter list (util/counters.hpp): everything the solve
+  /// produced, which is what the daemon caches and replies with. The
+  /// serving counters are ServeStats' own list.
+  template <class V, class... S>
+  static void for_each_counter(V&& v, S&... s) {
+    using namespace util::counter_rows;
+    core::SearchStats::for_each_counter(v, s.search...);
+    par::ParallelStats::for_each_counter(v, s...);
+    v(C{"paths_evaluated", kSum}, s.paths_evaluated...);
+    v(C{"engines_raced", kMax}, s.engines_raced...);
+    v(C{"warm_start_used", kMax}, s.warm_start_used...);
+    v(C{"states_retained", kSum}, s.states_retained...);
+    v(C{"search_skipped_pct", kMax}, s.search_skipped_pct...);
+  }
 };
 
 /// Unified result: always a valid complete schedule, plus the proof state.

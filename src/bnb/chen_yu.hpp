@@ -38,14 +38,10 @@ struct ChenYuResult {
   double makespan = 0.0;
   bool proved_optimal = false;
   core::Termination reason = core::Termination::kOptimal;
-  std::uint64_t expanded = 0;
-  std::uint64_t generated = 0;
-  std::uint64_t paths_evaluated = 0;
-  std::uint64_t loads_full = 0;         ///< context rebuilds from the root
-  std::uint64_t loads_incremental = 0;  ///< delta replays (move_to)
-  std::uint64_t assignments_replayed = 0;
-  std::size_t peak_memory_bytes = 0;  ///< arena + CLOSED + OPEN at the end
-  double elapsed_seconds = 0.0;
+  /// Expanded/generated, the context-load split, arena + CLOSED + OPEN
+  /// memory at the end, and the elapsed time.
+  core::SearchStats stats;
+  std::uint64_t paths_evaluated = 0;  ///< underestimate work
 };
 
 ChenYuResult chen_yu_schedule(const core::SearchProblem& problem,

@@ -112,7 +112,7 @@ struct SearchDriver {
             : sched::Schedule(problem.upper_bound_schedule()),
         0.0, proved, bound_factor, reason, {}};
     result.makespan = result.schedule.makespan();
-    result.stats.absorb(expander.stats());
+    util::merge_counters(result.stats, expander.stats());
     result.stats.max_open_size = max_open;
     result.stats.peak_memory_bytes =
         arena.memory_bytes() + seen.memory_bytes() + open_mem;

@@ -23,21 +23,8 @@
 
 namespace optsched::core {
 
-struct SearchStats {
-  std::uint64_t expanded = 0;
-  std::uint64_t generated = 0;
-  std::uint64_t duplicates_dropped = 0;
-  std::uint64_t pruned_upper_bound = 0;
-  std::uint64_t skipped_equivalence = 0;
-  std::uint64_t skipped_isomorphism = 0;
-  /// Context loads rebuilt from the root vs. delta-replayed from the
-  /// previously loaded state (ExpansionContext::move_to), and the total
-  /// assignment applications across both — the per-expansion replay cost
-  /// the delta path amortizes (assignments_replayed / expanded ≈ mean
-  /// replay length; a full-replay engine would pay the mean state depth).
-  std::uint64_t loads_full = 0;
-  std::uint64_t loads_incremental = 0;
-  std::uint64_t assignments_replayed = 0;
+/// The expander's counters plus what the search loop itself measures.
+struct SearchStats : ExpandStats {
   std::size_t max_open_size = 0;
   /// Search-state memory: arena + CLOSED + OPEN for best-first engines,
   /// the bounded DFS working set for IDA*, summed across PPEs for the
@@ -50,16 +37,21 @@ struct SearchStats {
   std::size_t arena_cold_bytes = 0;
   double elapsed_seconds = 0.0;
 
-  void absorb(const ExpandStats& e) {
-    expanded += e.expanded;
-    generated += e.generated;
-    duplicates_dropped += e.duplicates_dropped;
-    pruned_upper_bound += e.pruned_upper_bound;
-    skipped_equivalence += e.skipped_equivalence;
-    skipped_isomorphism += e.skipped_isomorphism;
-    loads_full += e.loads_full;
-    loads_incremental += e.loads_incremental;
-    assignments_replayed += e.assignments_replayed;
+  friend bool operator==(const SearchStats&, const SearchStats&) = default;
+
+  /// The counter list (util/counters.hpp). The replay counters inherited
+  /// from ExpandStats split context loads into rebuilds from the root and
+  /// delta replays (ExpansionContext::move_to); assignments_replayed /
+  /// expanded is the mean replay length the delta path amortizes.
+  template <class V, class... S>
+  static void for_each_counter(V&& v, S&... s) {
+    using namespace util::counter_rows;
+    ExpandStats::for_each_counter(v, s...);
+    v(C{"max_open_size", kMax}, s.max_open_size...);
+    v(C{"peak_memory_bytes", kSum}, s.peak_memory_bytes...);
+    v(C{"arena_hot_bytes", kSum}, s.arena_hot_bytes...);
+    v(C{"arena_cold_bytes", kSum}, s.arena_cold_bytes...);
+    v(C{"elapsed_seconds", kMax, kRun}, s.elapsed_seconds...);
   }
 };
 

@@ -25,6 +25,7 @@
 #include "core/problem.hpp"
 #include "core/signature.hpp"
 #include "core/state.hpp"
+#include "util/counters.hpp"
 #include "util/flat_set.hpp"
 
 namespace optsched::core {
@@ -41,16 +42,21 @@ struct ExpandStats {
   std::uint64_t loads_incremental = 0;    ///< context delta-replayed via LCA
   std::uint64_t assignments_replayed = 0; ///< apply ops across all loads
 
-  void merge(const ExpandStats& o) {
-    expanded += o.expanded;
-    generated += o.generated;
-    duplicates_dropped += o.duplicates_dropped;
-    pruned_upper_bound += o.pruned_upper_bound;
-    skipped_equivalence += o.skipped_equivalence;
-    skipped_isomorphism += o.skipped_isomorphism;
-    loads_full += o.loads_full;
-    loads_incremental += o.loads_incremental;
-    assignments_replayed += o.assignments_replayed;
+  friend bool operator==(const ExpandStats&, const ExpandStats&) = default;
+
+  /// The counter list (util/counters.hpp).
+  template <class V, class... S>
+  static void for_each_counter(V&& v, S&... s) {
+    using namespace util::counter_rows;
+    v(C{"expanded", kSum}, s.expanded...);
+    v(C{"generated", kSum}, s.generated...);
+    v(C{"duplicates_dropped", kSum}, s.duplicates_dropped...);
+    v(C{"pruned_upper_bound", kSum}, s.pruned_upper_bound...);
+    v(C{"skipped_equivalence", kSum}, s.skipped_equivalence...);
+    v(C{"skipped_isomorphism", kSum}, s.skipped_isomorphism...);
+    v(C{"loads_full", kSum}, s.loads_full...);
+    v(C{"loads_incremental", kSum}, s.loads_incremental...);
+    v(C{"assignments_replayed", kSum}, s.assignments_replayed...);
   }
 };
 

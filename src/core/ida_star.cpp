@@ -220,7 +220,7 @@ SearchResult ida_star_schedule(const SearchProblem& problem,
   SearchResult result{std::move(schedule), 0.0, !aborted, 1.0,
                       aborted ? *aborted : Termination::kOptimal,
                       {}};
-  result.stats.absorb(expander.stats());
+  util::merge_counters(result.stats, expander.stats());
   result.makespan = result.schedule.makespan();
   result.stats.elapsed_seconds = timer.seconds();
   result.stats.peak_memory_bytes = policy.peak_memory;

@@ -372,7 +372,6 @@ class DistWorker {
     if (enc.empty()) return;
     pending_states_ -= enc.count();
     queue_frame(enc.take_frame());
-    ++batches_out_;
   }
 
   void flush_all() {
@@ -398,29 +397,22 @@ class DistWorker {
   }
 
   void send_bye() {
-    const auto& s = expander_->stats();
+    core::SearchStats search;
+    util::merge_counters(search, expander_->stats());
+    search.max_open_size = std::max(max_open_, open_.size());
+    search.peak_memory_bytes = memory_now();
+    search.arena_hot_bytes = arena_.hot_memory_bytes();
+    search.arena_cold_bytes = arena_.cold_memory_bytes();
+    ParallelStats par;
+    par.expanded_per_ppe = {search.expanded};
+    par.states_serialized = serialized_;
+    par.states_deduped_at_send = deduped_;
+    par.flushes = flushes_;
+    par.bytes_sent = bytes_out_;
     Json bye;
     bye["t"] = "bye";
-    bye["exp"] = s.expanded;
-    bye["gen"] = s.generated;
-    bye["dup"] = s.duplicates_dropped;
-    bye["pruned"] = s.pruned_upper_bound;
-    bye["skip_eq"] = s.skipped_equivalence;
-    bye["skip_iso"] = s.skipped_isomorphism;
-    bye["lf"] = s.loads_full;
-    bye["li"] = s.loads_incremental;
-    bye["ar"] = s.assignments_replayed;
-    bye["ser"] = serialized_;
-    bye["batches"] = batches_out_;
-    bye["rcvd"] = rcvd_batches_;
-    bye["dedup"] = deduped_;
-    bye["flush"] = flushes_;
-    bye["bytes"] = bytes_out_;
-    bye["max_open"] = static_cast<std::uint64_t>(
-        std::max(max_open_, open_.size()));
-    bye["mem"] = static_cast<std::uint64_t>(memory_now());
-    bye["hot"] = static_cast<std::uint64_t>(arena_.hot_memory_bytes());
-    bye["cold"] = static_cast<std::uint64_t>(arena_.cold_memory_bytes());
+    util::counters_to_json(search, bye);
+    util::counters_to_json(par, bye);
     send_json(bye);
   }
 
@@ -605,7 +597,6 @@ class DistWorker {
 
   std::uint64_t rcvd_batches_ = 0;
   std::uint64_t serialized_ = 0;
-  std::uint64_t batches_out_ = 0;
   std::uint64_t deduped_ = 0;
   std::uint64_t flushes_ = 0;   ///< gathered write syscalls (pump_writes)
   std::uint64_t bytes_out_ = 0;
@@ -625,6 +616,16 @@ struct Event {
   wire::Frame frame;  ///< kFrame: binary frame, or JSON (parsed in `json`)
   Json json;          ///< kFrame with frame.type == kJson
   std::string error;  ///< kFail
+
+  /// Value-initialized first: gcc 12 reports the brace-built temporary's
+  /// frame string as maybe-uninitialized.
+  static Event make(Kind kind, std::uint32_t rank, std::string error = {}) {
+    Event ev{};
+    ev.kind = kind;
+    ev.rank = rank;
+    ev.error = std::move(error);
+    return ev;
+  }
 };
 
 struct WorkerHandle {
@@ -735,14 +736,14 @@ class DistCoordinator {
     try {
       wire::Frame fr;
       while (wire::read_frame(workers_[rank]->stream, fr, kFrameCap)) {
-        Event ev{Event::kFrame, rank, {}, {}, {}};
+        Event ev = Event::make(Event::kFrame, rank);
         if (fr.type == wire::FrameType::kJson) ev.json = Json::parse(fr.raw);
         ev.frame = std::move(fr);
         push_event(std::move(ev));
       }
-      push_event({Event::kEof, rank, {}, {}, {}});
+      push_event(Event::make(Event::kEof, rank));
     } catch (const std::exception& e) {
-      push_event({Event::kFail, rank, {}, {}, e.what()});
+      push_event(Event::make(Event::kFail, rank, e.what()));
     }
   }
 
@@ -769,7 +770,7 @@ class DistCoordinator {
     } catch (const std::exception& e) {
       // The reader's EOF/Fail event carries the failure; a send error
       // here is only reported if the reader somehow stays healthy.
-      push_event({Event::kFail, rank, {}, {}, e.what()});
+      push_event(Event::make(Event::kFail, rank, e.what()));
     }
   }
 
@@ -1030,40 +1031,24 @@ class DistCoordinator {
         break;
     }
 
-    core::SearchStats& st = out.result.stats;
     for (const auto& w : workers_) {
-      const Json& b = w->bye;
       if (!w->got_bye) continue;  // unreachable: collect_byes throws first
-      st.expanded += get_u64(b, "exp");
-      st.generated += get_u64(b, "gen");
-      st.duplicates_dropped += get_u64(b, "dup");
-      st.pruned_upper_bound += get_u64(b, "pruned");
-      st.skipped_equivalence += get_u64(b, "skip_eq");
-      st.skipped_isomorphism += get_u64(b, "skip_iso");
-      st.loads_full += get_u64(b, "lf");
-      st.loads_incremental += get_u64(b, "li");
-      st.assignments_replayed += get_u64(b, "ar");
-      st.peak_memory_bytes += static_cast<std::size_t>(get_u64(b, "mem"));
-      st.arena_hot_bytes += static_cast<std::size_t>(get_u64(b, "hot"));
-      st.arena_cold_bytes += static_cast<std::size_t>(get_u64(b, "cold"));
-      st.max_open_size = std::max(
-          st.max_open_size, static_cast<std::size_t>(get_u64(b, "max_open")));
-      out.par_stats.states_serialized += get_u64(b, "ser");
-      out.par_stats.states_deduped_at_send += get_u64(b, "dedup");
-      out.par_stats.flushes += get_u64(b, "flush");
-      out.par_stats.bytes_sent += get_u64(b, "bytes");
-      out.par_stats.expanded_per_ppe.push_back(get_u64(b, "exp"));
+      core::SearchStats search;
+      ParallelStats par;
+      util::counters_from_json(w->bye, search);
+      util::counters_from_json(w->bye, par);
+      util::merge_counters(out.result.stats, search);
+      util::merge_counters(out.par_stats, par);
     }
     // Coordinator-side relay bytes (writer threads are joined by now).
     for (const auto& w : workers_) out.par_stats.bytes_sent += w->bytes_written;
-    st.elapsed_seconds = timer_.seconds();
+    out.result.stats.elapsed_seconds = timer_.seconds();
 
-    out.par_stats.mode = TransportMode::kDistributed;
+    out.par_stats.parallel_mode = to_string(TransportMode::kDistributed);
     out.par_stats.messages_sent = messages_sent_;
     out.par_stats.states_transferred = states_relayed_;
     out.par_stats.batches_sent = batches_relayed_;
     out.par_stats.termination_rounds = term_.rounds();
-    out.par_stats.requested_ppes = procs_;
     out.par_stats.effective_ppes = procs_;
     return out;
   }

@@ -751,7 +751,7 @@ ParallelResult parallel_astar_schedule(const SearchProblem& problem,
   }
 
   for (const auto& ppe : ppes) {
-    out.result.stats.absorb(ppe->stats());
+    util::merge_counters(out.result.stats, ppe->stats());
     out.result.stats.peak_memory_bytes += ppe->memory_bytes();
     out.result.stats.arena_hot_bytes += ppe->arena_hot_bytes();
     out.result.stats.arena_cold_bytes += ppe->arena_cold_bytes();
@@ -759,7 +759,6 @@ ParallelResult parallel_astar_schedule(const SearchProblem& problem,
   }
   out.result.stats.elapsed_seconds = shared.timer.seconds();
   shared.transport->collect(out.par_stats);
-  out.par_stats.requested_ppes = config.num_ppes;
   out.par_stats.effective_ppes = run_config.num_ppes;
   return out;
 }

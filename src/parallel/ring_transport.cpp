@@ -183,7 +183,7 @@ std::unique_ptr<PpeLink> RingTransport::connect(std::uint32_t ppe) {
 }
 
 void RingTransport::collect(ParallelStats& out) const {
-  out.mode = TransportMode::kRing;
+  out.parallel_mode = to_string(TransportMode::kRing);
   out.messages_sent = messages_sent_.load();
   out.states_transferred = states_transferred_.load();
   out.comm_rounds = comm_rounds_.load();

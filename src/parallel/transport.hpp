@@ -42,6 +42,7 @@
 #include "core/state.hpp"
 #include "dag/graph.hpp"
 #include "machine/machine.hpp"
+#include "parallel/stats.hpp"
 #include "util/flat_set.hpp"
 
 namespace optsched::core {
@@ -74,49 +75,6 @@ const char* to_string(TransportMode mode);
 struct StateMsg {
   std::vector<std::pair<dag::NodeId, machine::ProcId>> assignments;
   double f = 0.0;  ///< sender's f value (receiver recomputes and asserts)
-};
-
-/// Transport-level counters for one run, reported through SolveStats to
-/// the CLI and suite reports. Ring runs leave the steal/shard counters 0
-/// and vice versa.
-struct ParallelStats {
-  TransportMode mode = TransportMode::kRing;
-  // Ring-mailbox scheme.
-  std::uint64_t messages_sent = 0;
-  std::uint64_t states_transferred = 0;  ///< shipped over mailboxes or stolen
-  std::uint64_t comm_rounds = 0;
-  // Work-stealing scheme.
-  std::uint64_t steal_attempts = 0;  ///< sweeps that looked for a victim
-  std::uint64_t steals = 0;          ///< batches actually taken
-  std::uint64_t donations = 0;       ///< publishes into the owner's deque
-  // Hash-sharded duplicate detection.
-  std::uint32_t shards = 0;      ///< shard count of the global table
-  /// Duplicate generations filtered by the shared table. Counts *every*
-  /// duplicate (the ws mode has no separate local set), so it upper-
-  /// bounds the cross-PPE share — the part the ring's local SEEN misses.
-  std::uint64_t shard_hits = 0;
-  /// Per-PPE expansion counts. Thread-timing dependent; consumers emit it
-  /// sorted or aggregated (min/max/total) so reports diff deterministically
-  /// modulo load balance, not PPE numbering.
-  std::vector<std::uint64_t> expanded_per_ppe;
-  /// PPE counts: what the caller asked for vs. what actually ran after the
-  /// initial-frontier feedability clamp (ws mode on tiny instances).
-  std::uint32_t requested_ppes = 0;
-  std::uint32_t effective_ppes = 0;
-  // Distributed (multi-process) scheme — 0 for the in-process modes.
-  std::uint64_t states_serialized = 0;   ///< states encoded into wire batches
-  std::uint64_t batches_sent = 0;        ///< batch frames shipped worker->worker
-  std::uint64_t termination_rounds = 0;  ///< quiescence-condition evaluations
-  /// Remote-owned children suppressed by the send-side duplicate filter
-  /// (wire.hpp SendFilter) before serialization.
-  std::uint64_t states_deduped_at_send = 0;
-  /// Gathered socket writes on the worker side; states_serialized /
-  /// batches_sent is the mean batch size, batches_sent / flushes the
-  /// mean frames-per-syscall.
-  std::uint64_t flushes = 0;
-  /// Bytes written to dist sockets across all processes (workers + the
-  /// coordinator's relay writers).
-  std::uint64_t bytes_sent = 0;
 };
 
 /// Published per-PPE status: the quiescence-detection flags plus the

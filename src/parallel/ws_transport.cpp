@@ -167,7 +167,7 @@ std::unique_ptr<PpeLink> WsTransport::connect(std::uint32_t ppe) {
 }
 
 void WsTransport::collect(ParallelStats& out) const {
-  out.mode = TransportMode::kWorkStealing;
+  out.parallel_mode = to_string(TransportMode::kWorkStealing);
   out.states_transferred = states_stolen_.load();
   out.steal_attempts = steal_attempts_.load();
   out.steals = steals_.load();

@@ -94,13 +94,8 @@ api::SolveResult rebuild_result(const workload::Instance& instance,
   result.bound_factor = outcome.bound_factor;
   result.reason = termination_from_string(outcome.termination);
   result.engine = outcome.engine;
-  result.stats.search.expanded = outcome.expanded;
-  result.stats.search.generated = outcome.generated;
-  result.stats.search.peak_memory_bytes = outcome.peak_memory_bytes;
-  result.stats.cache_hit = reply.cache_hit;
-  result.stats.cache_lookups = reply.cache_lookups;
-  result.stats.cache_bytes = reply.cache_bytes;
-  result.stats.queue_wait_ms = reply.queue_wait_ms;
+  result.stats = outcome.stats;
+  static_cast<api::ServeStats&>(result.stats) = reply;
   return result;
 }
 

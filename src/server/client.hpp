@@ -52,7 +52,9 @@ class Client {
 
 /// Rebuild a full SolveResult from a wire outcome on `instance` (which
 /// must be the materialization of outcome.spec and must outlive the
-/// returned result — the schedule borrows its graph and machine).
+/// returned result — the schedule borrows its graph and machine). Every
+/// engine counter comes from the outcome, the serving counters from the
+/// reply.
 /// Throws util::Error when the placements do not replay consistently
 /// (finish-time mismatch) — a transport-integrity violation.
 api::SolveResult rebuild_result(const workload::Instance& instance,

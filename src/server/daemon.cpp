@@ -21,9 +21,8 @@ SolveOutcome make_outcome(const std::string& canonical_spec,
   outcome.proved_optimal = result.proved_optimal;
   outcome.bound_factor = result.bound_factor;
   outcome.termination = core::to_string(result.reason);
+  outcome.stats = result.stats;
   outcome.expanded = result.stats.search.expanded;
-  outcome.generated = result.stats.search.generated;
-  outcome.peak_memory_bytes = result.stats.search.peak_memory_bytes;
   const auto& schedule = result.schedule;
   const std::size_t nodes = schedule.graph().num_nodes();
   outcome.schedule.reserve(nodes);

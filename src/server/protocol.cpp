@@ -3,6 +3,8 @@
 #include <cmath>
 #include <limits>
 
+#include "util/counters.hpp"
+
 namespace optsched::server {
 
 namespace {
@@ -56,9 +58,9 @@ Json outcome_to_json(const SolveOutcome& outcome) {
   else
     out["bound_factor"] = Json();
   out["termination"] = outcome.termination;
-  out["expanded"] = outcome.expanded;
-  out["generated"] = outcome.generated;
-  out["peak_memory_bytes"] = outcome.peak_memory_bytes;
+  Json stats{Json::Object{}};
+  util::counters_to_json(outcome.stats, stats);
+  out["stats"] = std::move(stats);
   Json schedule{Json::Array{}};
   for (const auto& p : outcome.schedule)
     schedule.push_back(Json(Json::Array{Json(p.node), Json(p.proc),
@@ -79,9 +81,8 @@ SolveOutcome outcome_from_json(const Json& frame) {
                              ? std::numeric_limits<double>::infinity()
                              : frame.at("bound_factor").as_number();
   outcome.termination = frame.at("termination").as_string();
-  outcome.expanded = frame.get_u64("expanded", 0);
-  outcome.generated = frame.get_u64("generated", 0);
-  outcome.peak_memory_bytes = frame.get_u64("peak_memory_bytes", 0);
+  util::counters_from_json(frame.at("stats"), outcome.stats);
+  outcome.expanded = outcome.stats.search.expanded;
   for (const auto& entry : frame.at("schedule").as_array()) {
     const auto& quad = entry.as_array();
     OPTSCHED_REQUIRE(quad.size() == 4,
@@ -99,30 +100,6 @@ SolveOutcome outcome_from_json(const Json& frame) {
     outcome.schedule.push_back(p);
   }
   return outcome;
-}
-
-Json cache_stats_to_json(const CacheStats& cache) {
-  Json out;
-  out["lookups"] = cache.lookups;
-  out["hits"] = cache.hits;
-  out["insertions"] = cache.insertions;
-  out["evictions"] = cache.evictions;
-  out["entries"] = cache.entries;
-  out["bytes"] = cache.bytes;
-  out["byte_budget"] = cache.byte_budget;
-  return out;
-}
-
-CacheStats cache_stats_from_json(const Json& frame) {
-  CacheStats cache;
-  cache.lookups = frame.get_u64("lookups", 0);
-  cache.hits = frame.get_u64("hits", 0);
-  cache.insertions = frame.get_u64("insertions", 0);
-  cache.evictions = frame.get_u64("evictions", 0);
-  cache.entries = frame.get_u64("entries", 0);
-  cache.bytes = frame.get_u64("bytes", 0);
-  cache.byte_budget = frame.get_u64("byte_budget", 0);
-  return cache;
 }
 
 }  // namespace
@@ -207,10 +184,7 @@ std::string encode_solve_reply(const SolveReply& reply) {
   Json frame;
   frame["ok"] = true;
   frame["verb"] = "solve";
-  frame["cache_hit"] = reply.cache_hit;
-  frame["cache_lookups"] = reply.cache_lookups;
-  frame["cache_bytes"] = reply.cache_bytes;
-  frame["queue_wait_ms"] = reply.queue_wait_ms;
+  util::counters_to_json<api::ServeStats>(reply, frame);
   frame["solve_ms"] = reply.solve_ms;
   frame["result"] = outcome_to_json(reply.outcome);
   return frame.dump();
@@ -220,17 +194,10 @@ std::string encode_status_reply(const StatusReply& reply) {
   Json frame;
   frame["ok"] = true;
   frame["verb"] = "status";
-  frame["accepted"] = reply.accepted;
-  frame["completed"] = reply.completed;
-  frame["rejected"] = reply.rejected;
-  frame["cache_hits_served"] = reply.cache_hits_served;
-  frame["queue_depth"] = reply.queue_depth;
-  frame["queue_cap"] = reply.queue_cap;
-  frame["in_flight"] = reply.in_flight;
-  frame["workers"] = reply.workers;
-  frame["memory_reserved"] = reply.memory_reserved;
-  frame["memory_budget"] = reply.memory_budget;
-  frame["cache"] = cache_stats_to_json(reply.cache);
+  util::counters_to_json(reply, frame);
+  Json cache{Json::Object{}};
+  util::counters_to_json(reply.cache, cache);
+  frame["cache"] = std::move(cache);
   return frame.dump();
 }
 
@@ -263,10 +230,7 @@ SolveReply parse_solve_reply(const std::string& line) {
     OPTSCHED_REQUIRE(frame.get_string("verb", "") == "solve",
                      "expected a solve reply");
     SolveReply reply;
-    reply.cache_hit = frame.get_bool("cache_hit", false);
-    reply.cache_lookups = frame.get_u64("cache_lookups", 0);
-    reply.cache_bytes = frame.get_u64("cache_bytes", 0);
-    reply.queue_wait_ms = frame.get_number("queue_wait_ms", 0.0);
+    util::counters_from_json<api::ServeStats>(frame, reply);
     reply.solve_ms = frame.get_number("solve_ms", 0.0);
     reply.outcome = outcome_from_json(frame.at("result"));
     return reply;
@@ -279,17 +243,9 @@ StatusReply parse_status_reply(const std::string& line) {
     OPTSCHED_REQUIRE(frame.get_string("verb", "") == "status",
                      "expected a status reply");
     StatusReply reply;
-    reply.accepted = frame.get_u64("accepted", 0);
-    reply.completed = frame.get_u64("completed", 0);
-    reply.rejected = frame.get_u64("rejected", 0);
-    reply.cache_hits_served = frame.get_u64("cache_hits_served", 0);
-    reply.queue_depth = frame.get_u64("queue_depth", 0);
-    reply.queue_cap = frame.get_u64("queue_cap", 0);
-    reply.in_flight = frame.get_u64("in_flight", 0);
-    reply.workers = static_cast<unsigned>(frame.get_u64("workers", 0));
-    reply.memory_reserved = frame.get_u64("memory_reserved", 0);
-    reply.memory_budget = frame.get_u64("memory_budget", 0);
-    if (frame.has("cache")) reply.cache = cache_stats_from_json(frame.at("cache"));
+    util::counters_from_json(frame, reply);
+    if (frame.has("cache"))
+      util::counters_from_json(frame.at("cache"), reply.cache);
     return reply;
   });
 }

@@ -10,6 +10,7 @@
 //            {"verb":"status"}        {"verb":"shutdown"}
 //   reply    {"ok":true,"verb":"solve","cache_hit":true,...,
 //             "result":{"spec":...,"engine_spec":...,"makespan":...,
+//                       "stats":{"expanded":...,"parallel_mode":"",...},
 //                       "schedule":[[node,proc,start,finish],...],...}}
 //            {"ok":false,"error":"overloaded","message":"..."}
 //
@@ -17,7 +18,10 @@
 // util::format_number), so a schedule read back from a frame is
 // bit-identical to the one the solver produced — the property the
 // cache-soundness oracle (a hit must bit-agree with a cold solve)
-// depends on. The full grammar is documented in DESIGN.md §7.
+// depends on. The result's `stats` object carries every counter of
+// api::SolveStats' list (util/counters.hpp), so a remote result reports
+// what an in-process one does; the request's serving counters sit at the
+// reply's top level. The full grammar is documented in DESIGN.md §7.
 //
 // Malformed input of any kind — unparsable JSON, a non-object frame, a
 // missing or mistyped field, an unknown verb — raises ProtocolError with
@@ -109,9 +113,12 @@ struct SolveOutcome {
   bool proved_optimal = false;
   double bound_factor = 1.0;
   std::string termination;  ///< core::to_string(Termination)
+  /// The engine's counters, whole (api::SolveStats' list crosses as the
+  /// `stats` object); the inherited serving counters stay 0 here — they
+  /// describe a request, and travel on SolveReply.
+  api::SolveStats stats;
+  /// stats.search.expanded, kept as the reply's headline counter.
   std::uint64_t expanded = 0;
-  std::uint64_t generated = 0;
-  std::size_t peak_memory_bytes = 0;
   std::vector<WirePlacement> schedule;  ///< sorted by node id
 
   friend bool operator==(const SolveOutcome&, const SolveOutcome&) = default;
@@ -127,16 +134,27 @@ struct CacheStats {
   std::size_t entries = 0;
   std::size_t bytes = 0;        ///< resident, always <= byte_budget
   std::size_t byte_budget = 0;
+
+  /// The counter list (util/counters.hpp).
+  template <class V, class... S>
+  static void for_each_counter(V&& v, S&... s) {
+    using namespace util::counter_rows;
+    v(C{"lookups", kSum, kRun}, s.lookups...);
+    v(C{"hits", kSum, kRun}, s.hits...);
+    v(C{"insertions", kSum, kRun}, s.insertions...);
+    v(C{"evictions", kSum, kRun}, s.evictions...);
+    v(C{"entries", kMax, kRun}, s.entries...);
+    v(C{"bytes", kMax, kRun}, s.bytes...);
+    v(C{"byte_budget", kMax, kRun}, s.byte_budget...);
+  }
 };
 
-/// Reply to a solve command.
-struct SolveReply {
+/// Reply to a solve command: the (possibly cached) outcome plus this
+/// request's serving counters (api::ServeStats: cache_hit,
+/// cache_lookups, cache_bytes, queue_wait_ms).
+struct SolveReply : api::ServeStats {
   SolveOutcome outcome;
-  bool cache_hit = false;
-  std::uint64_t cache_lookups = 0;  ///< daemon-lifetime, at reply time
-  std::size_t cache_bytes = 0;      ///< resident cache bytes at reply time
-  double queue_wait_ms = 0.0;       ///< pool admission-to-start wait
-  double solve_ms = 0.0;            ///< engine wall time (0 for hits)
+  double solve_ms = 0.0;  ///< engine wall time (0 for hits)
 };
 
 /// Reply to a status command.
@@ -151,7 +169,23 @@ struct StatusReply {
   unsigned workers = 0;
   std::size_t memory_reserved = 0;  ///< sum of admitted per-job caps
   std::size_t memory_budget = 0;
-  CacheStats cache{};
+  CacheStats cache{};  ///< the `cache` object
+
+  /// The counter list (util/counters.hpp), `cache` aside.
+  template <class V, class... S>
+  static void for_each_counter(V&& v, S&... s) {
+    using namespace util::counter_rows;
+    v(C{"accepted", kSum, kRun}, s.accepted...);
+    v(C{"completed", kSum, kRun}, s.completed...);
+    v(C{"rejected", kSum, kRun}, s.rejected...);
+    v(C{"cache_hits_served", kSum, kRun}, s.cache_hits_served...);
+    v(C{"queue_depth", kMax, kRun}, s.queue_depth...);
+    v(C{"queue_cap", kMax, kRun}, s.queue_cap...);
+    v(C{"in_flight", kMax, kRun}, s.in_flight...);
+    v(C{"workers", kMax, kRun}, s.workers...);
+    v(C{"memory_reserved", kMax, kRun}, s.memory_reserved...);
+    v(C{"memory_budget", kMax, kRun}, s.memory_budget...);
+  }
 };
 
 std::string encode_error(ErrorCode code, const std::string& message);

@@ -6,7 +6,8 @@ std::size_t ResultCache::entry_bytes(const std::string& key,
                                      const SolveOutcome& outcome) {
   return sizeof(Entry) + key.size() + outcome.spec.size() +
          outcome.engine_spec.size() + outcome.engine.size() +
-         outcome.termination.size() +
+         outcome.termination.size() + outcome.stats.parallel_mode.size() +
+         outcome.stats.expanded_per_ppe.size() * sizeof(std::uint64_t) +
          outcome.schedule.size() * sizeof(WirePlacement) +
          // the index entry stores the key a second time
          key.size() + sizeof(void*);

@@ -294,8 +294,9 @@ void write_churn_csv(const ChurnReport& report, std::ostream& out) {
         << (r.warm_start_used ? 1 : 0) << ',' << r.states_retained << ','
         << util::format_number(r.search_skipped_pct) << ','
         << (r.oracle_ok ? 1 : 0) << ',' << util::csv_escape(r.error) << ','
-        << util::csv_escape(r.spec) << ',' << r.warm_time_ms << ','
-        << r.cold_time_ms << "\n";
+        << util::csv_escape(r.spec) << ','
+        << util::format_number(r.warm_time_ms) << ','
+        << util::format_number(r.cold_time_ms) << "\n";
   }
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <iterator>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -297,116 +296,63 @@ namespace {
 /// write 1000000 as 1e+06); flags print 1/0 in CSV and true/false in JSON.
 using Cell = std::variant<std::uint64_t, double, bool, std::string>;
 
-/// Per-engine JSON aggregate over error-free runs: "total_<name>" or
-/// "max_<name>".
-enum class Aggregate { kNone, kSum, kMax };
-
-struct Column {
+/// One named cell of a record's report row.
+struct Field {
   const char* name;
   /// Serving-layer state, dist-mode communication or wall-clock: differs
   /// between reruns, so determinism diffs strip it.
   bool run_dependent;
-  Aggregate aggregate;
-  Cell (*read)(const SuiteRecord&);
+  /// Per-engine JSON aggregates over error-free runs, for numeric
+  /// counters only: "max_<name>" always, plus "total_<name>" when the
+  /// counter adds up (Merge::kSum).
+  std::optional<util::Merge> merge;
+  Cell cell;
 };
 
-/// The report schema, in CSV column order. The CSV and the JSON records
-/// and aggregates are all generated from this table; a new SolveStats
-/// counter reaches both reports by adding one row.
-const Column kColumns[] = {
-    {"instance", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return std::uint64_t{r.instance}; }},
-    {"family", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return r.family; }},
-    {"engine", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return r.engine; }},
-    {"nodes", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return std::uint64_t{r.nodes}; }},
-    {"edges", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return std::uint64_t{r.edges}; }},
-    {"procs", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return std::uint64_t{r.procs}; }},
-    {"makespan", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return r.makespan; }},
-    {"proved_optimal", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return r.proved_optimal; }},
-    {"bound_factor", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return r.bound_factor; }},
-    {"termination", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return r.termination; }},
-    {"expanded", false, Aggregate::kSum,
-     [](const SuiteRecord& r) -> Cell { return r.stats.search.expanded; }},
-    {"generated", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return r.stats.search.generated; }},
-    {"loads_full", false, Aggregate::kSum,
-     [](const SuiteRecord& r) -> Cell { return r.stats.search.loads_full; }},
-    {"loads_incremental", false, Aggregate::kSum,
-     [](const SuiteRecord& r) -> Cell {
-       return r.stats.search.loads_incremental;
-     }},
-    {"peak_memory_bytes", false, Aggregate::kMax,
-     [](const SuiteRecord& r) -> Cell {
-       return std::uint64_t{r.stats.search.peak_memory_bytes};
-     }},
-    {"arena_hot_bytes", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell {
-       return std::uint64_t{r.stats.search.arena_hot_bytes};
-     }},
-    {"arena_cold_bytes", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell {
-       return std::uint64_t{r.stats.search.arena_cold_bytes};
-     }},
-    {"parallel_mode", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return r.stats.parallel_mode; }},
-    {"states_transferred", false, Aggregate::kSum,
-     [](const SuiteRecord& r) -> Cell { return r.stats.states_transferred; }},
-    {"steals", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return r.stats.steals; }},
-    {"shard_hits", false, Aggregate::kSum,
-     [](const SuiteRecord& r) -> Cell { return r.stats.shard_hits; }},
-    {"effective_ppes", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell {
-       return std::uint64_t{r.stats.effective_ppes};
-     }},
-    {"warm_start_used", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return r.stats.warm_start_used; }},
-    {"states_retained", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return r.stats.states_retained; }},
-    {"search_skipped_pct", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return r.stats.search_skipped_pct; }},
-    {"valid", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return r.valid; }},
-    {"error", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return r.error; }},
-    {"spec", false, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return r.spec; }},
-    {"cache_hit", true, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return r.stats.cache_hit; }},
-    {"cache_lookups", true, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return r.stats.cache_lookups; }},
-    {"cache_bytes", true, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell {
-       return std::uint64_t{r.stats.cache_bytes};
-     }},
-    {"queue_wait_ms", true, Aggregate::kNone,
-     [](const SuiteRecord& r) -> Cell { return r.stats.queue_wait_ms; }},
-    {"states_serialized", true, Aggregate::kSum,
-     [](const SuiteRecord& r) -> Cell { return r.stats.states_serialized; }},
-    {"batches_sent", true, Aggregate::kSum,
-     [](const SuiteRecord& r) -> Cell { return r.stats.batches_sent; }},
-    {"termination_rounds", true, Aggregate::kSum,
-     [](const SuiteRecord& r) -> Cell { return r.stats.termination_rounds; }},
-    {"states_deduped_at_send", true, Aggregate::kSum,
-     [](const SuiteRecord& r) -> Cell {
-       return r.stats.states_deduped_at_send;
-     }},
-    {"flushes", true, Aggregate::kSum,
-     [](const SuiteRecord& r) -> Cell { return r.stats.flushes; }},
-    {"bytes_sent", true, Aggregate::kSum,
-     [](const SuiteRecord& r) -> Cell { return r.stats.bytes_sent; }},
-    {"time_ms", true, Aggregate::kSum,
-     [](const SuiteRecord& r) -> Cell { return r.time_ms; }},
-};
+template <class T>
+Cell to_cell(const T& v) {
+  if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>)
+    return static_cast<std::uint64_t>(v);
+  else
+    return v;
+}
+
+/// A record's report row, in CSV column order: the record's identity and
+/// verdict, the semantic counters of api::SolveStats' and api::ServeStats'
+/// lists, valid/error/spec, then the run-dependent zone (the lists'
+/// run-dependent counters and time_ms). The CSV, the JSON records and the
+/// JSON aggregates are all generated from it, so a counter reaches every
+/// report through its row in the list. The per-PPE distribution is not a
+/// cell (record_json adds it).
+std::vector<Field> fields(const SuiteRecord& r) {
+  std::vector<Field> row = {
+      {"instance", false, {}, std::uint64_t{r.instance}},
+      {"family", false, {}, r.family},
+      {"engine", false, {}, r.engine},
+      {"nodes", false, {}, std::uint64_t{r.nodes}},
+      {"edges", false, {}, std::uint64_t{r.edges}},
+      {"procs", false, {}, std::uint64_t{r.procs}},
+      {"makespan", false, {}, r.makespan},
+      {"proved_optimal", false, {}, r.proved_optimal},
+      {"bound_factor", false, {}, r.bound_factor},
+      {"termination", false, {}, r.termination}};
+  std::vector<Field> trailing;
+  const auto counter = [&](const util::CounterInfo& c, const auto& v) {
+    if constexpr (!std::is_same_v<std::decay_t<decltype(v)>,
+                                  std::vector<std::uint64_t>>) {
+      const bool run = c.cls == util::CounterClass::kRunDependent;
+      (run ? trailing : row).push_back({c.name, run, c.merge, to_cell(v)});
+    }
+  };
+  api::SolveStats::for_each_counter(counter, r.stats);
+  api::ServeStats::for_each_counter(counter, r.stats);
+  row.push_back({"valid", false, {}, r.valid});
+  row.push_back({"error", false, {}, r.error});
+  row.push_back({"spec", false, {}, r.spec});
+  row.insert(row.end(), trailing.begin(), trailing.end());
+  row.push_back({"time_ms", true, util::Merge::kSum, r.time_ms});
+  return row;
+}
 
 std::string csv_cell(const Cell& cell) {
   return std::visit(
@@ -441,15 +387,11 @@ util::Json json_cell(const Cell& cell) {
 }
 
 /// Numeric value of an aggregated (counter or time) cell.
-double cell_number(const Cell& cell) {
-  return std::visit(
-      [](const auto& v) -> double {
-        if constexpr (std::is_same_v<std::decay_t<decltype(v)>, std::string>)
-          return 0.0;
-        else
-          return static_cast<double>(v);
-      },
-      cell);
+std::optional<double> cell_number(const Cell& cell) {
+  if (const auto* v = std::get_if<std::uint64_t>(&cell))
+    return static_cast<double>(*v);
+  if (const auto* v = std::get_if<double>(&cell)) return *v;
+  return std::nullopt;
 }
 
 util::Json string_array(const std::vector<std::string>& list) {
@@ -458,21 +400,22 @@ util::Json string_array(const std::vector<std::string>& list) {
 
 util::Json engine_aggregate(const SuiteReport& report,
                             const std::string& engine) {
+  const std::vector<Field> schema = fields(SuiteRecord{});
   util::Accumulator makespan;
   std::uint64_t runs = 0, proved = 0, cache_hits = 0;
-  double totals[std::size(kColumns)] = {};
+  std::vector<double> total(schema.size()), max(schema.size());
   for (const auto& r : report.records) {
     if (r.engine != engine || !r.error.empty()) continue;
     ++runs;
     if (r.proved_optimal) ++proved;
     if (r.stats.cache_hit) ++cache_hits;
     makespan.add(r.makespan);
-    for (std::size_t c = 0; c < std::size(kColumns); ++c) {
-      if (kColumns[c].aggregate == Aggregate::kNone) continue;
-      const double v = cell_number(kColumns[c].read(r));
-      totals[c] = kColumns[c].aggregate == Aggregate::kSum
-                      ? totals[c] + v
-                      : std::max(totals[c], v);
+    const std::vector<Field> row = fields(r);
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      const std::optional<double> v = cell_number(row[c].cell);
+      if (!row[c].merge || !v) continue;
+      total[c] += *v;
+      max[c] = std::max(max[c], *v);
     }
   }
   util::Json out = util::Json::Object{
@@ -480,19 +423,19 @@ util::Json engine_aggregate(const SuiteReport& report,
       {"proved_optimal", proved},
       {"cache_hits", cache_hits},
       {"mean_makespan", json_value(makespan.mean())}};
-  for (std::size_t c = 0; c < std::size(kColumns); ++c) {
-    if (kColumns[c].aggregate == Aggregate::kNone) continue;
-    const char* prefix =
-        kColumns[c].aggregate == Aggregate::kSum ? "total_" : "max_";
-    out[prefix + std::string(kColumns[c].name)] = json_value(totals[c]);
+  for (std::size_t c = 0; c < schema.size(); ++c) {
+    if (!schema[c].merge || !cell_number(schema[c].cell)) continue;
+    const std::string name = schema[c].name;
+    if (*schema[c].merge == util::Merge::kSum)
+      out["total_" + name] = json_value(total[c]);
+    out["max_" + name] = json_value(max[c]);
   }
   return out;
 }
 
 util::Json record_json(const SuiteRecord& r) {
   util::Json out = util::Json::Object{};
-  for (const Column& column : kColumns)
-    out[column.name] = json_cell(column.read(r));
+  for (const Field& field : fields(r)) out[field.name] = json_cell(field.cell);
   // JSON-only: the per-PPE expansion distribution, stored sorted
   // descending (never in PPE-id order, which is timing-dependent).
   const auto& per_ppe = r.stats.expanded_per_ppe;
@@ -505,20 +448,20 @@ util::Json record_json(const SuiteRecord& r) {
 }  // namespace
 
 void write_csv(const SuiteReport& report, std::ostream& out) {
-  for (std::size_t c = 0; c < std::size(kColumns); ++c)
-    out << (c ? "," : "") << kColumns[c].name;
-  out << '\n';
-  for (const auto& r : report.records) {
-    for (std::size_t c = 0; c < std::size(kColumns); ++c)
-      out << (c ? "," : "") << csv_cell(kColumns[c].read(r));
+  const auto line = [&out](const std::vector<Field>& row, auto&& text) {
+    for (std::size_t c = 0; c < row.size(); ++c)
+      out << (c ? "," : "") << text(row[c]);
     out << '\n';
-  }
+  };
+  line(fields(SuiteRecord{}), [](const Field& f) { return f.name; });
+  for (const auto& r : report.records)
+    line(fields(r), [](const Field& f) { return csv_cell(f.cell); });
 }
 
 std::vector<std::string> run_dependent_columns() {
   std::vector<std::string> names;
-  for (const Column& column : kColumns)
-    if (column.run_dependent) names.emplace_back(column.name);
+  for (const Field& field : fields(SuiteRecord{}))
+    if (field.run_dependent) names.emplace_back(field.name);
   return names;
 }
 

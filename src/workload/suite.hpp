@@ -66,7 +66,8 @@ struct SuiteConfig {
 
 /// One (instance, engine) run: its identity, its verdict and the
 /// engine's counters as returned. For serial engines every field except
-/// time_ms is a pure function of the spec and engine, so reports diff
+/// the run-dependent ones (time_ms, and the counters whose list entry
+/// says so) is a pure function of the spec and engine, so reports diff
 /// cleanly across runs; multithreaded engines (`parallel`, `portfolio`)
 /// report timing-dependent search stats, which is why the CLI's default
 /// engine set is serial-only.
@@ -117,8 +118,11 @@ SuiteReport run_suite(const std::vector<ScenarioSpec>& corpus,
 
 /// One header row plus one row per record, RFC 4180 quoted. Columns
 /// are addressed by *name* (scripts/strip_csv_columns.awk), never by
-/// position. The run-dependent ones — serving-layer state, dist-mode
-/// communication counters and wall-clock, listed by
+/// position. After the record's identity and verdict come one column
+/// per counter of api::SolveStats' and api::ServeStats' lists
+/// (util/counters.hpp; the per-PPE distribution is JSON-only), then
+/// valid, error and spec. The run-dependent ones — serving-layer state,
+/// dist-mode communication counters and wall-clock, listed by
 /// run_dependent_columns() — come last; every earlier column is a pure
 /// function of spec and engine for serial engines, so determinism diffs
 /// strip exactly that list.
@@ -129,9 +133,11 @@ std::vector<std::string> run_dependent_columns();
 
 /// Full report as one line of JSON (util::Json, sorted keys): suite
 /// metadata, per-engine aggregates, failure lists, and every record with
-/// the CSV's columns plus the per-PPE expansion distribution. A
-/// non-finite number (the bound_factor of a result that proved nothing)
-/// is written as null.
+/// the CSV's columns plus the per-PPE expansion distribution. Each
+/// engine's aggregate over its error-free runs holds max_<name> for every
+/// numeric counter column (and time_ms), plus total_<name> where the
+/// counter's merge rule is a sum. A non-finite number (the bound_factor
+/// of a result that proved nothing) is written as null.
 void write_json(const SuiteReport& report, std::ostream& out);
 
 }  // namespace optsched::workload

@@ -100,7 +100,7 @@ TEST(ChenYu, ExpandsMoreStatesThanAStar) {
     const auto astar = core::astar_schedule(problem);
     const auto chen = chen_yu_schedule(problem);
     EXPECT_DOUBLE_EQ(chen.makespan, astar.makespan);
-    EXPECT_GE(chen.expanded, astar.stats.expanded);
+    EXPECT_GE(chen.stats.expanded, astar.stats.expanded);
   }
 }
 

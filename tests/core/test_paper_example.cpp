@@ -81,7 +81,7 @@ TEST(PaperExample, ChenYuBaselineAgreesButExpandsMore) {
   EXPECT_DOUBLE_EQ(chen.makespan, kPaperOptimal);
   EXPECT_TRUE(chen.proved_optimal);
   // Chen & Yu lacks the §3.2 prunings: it must examine more states.
-  EXPECT_GT(chen.expanded, astar.stats.expanded);
+  EXPECT_GT(chen.stats.expanded, astar.stats.expanded);
 }
 
 TEST(PaperExample, IdaStarAgrees) {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <numeric>
 #include <string>
 
 #include "core/astar.hpp"
@@ -172,9 +173,16 @@ TEST_P(DistProcs, MatchesSerialOptimumOnPaperExample) {
   EXPECT_DOUBLE_EQ(r.result.makespan, 14.0);
   EXPECT_TRUE(r.result.proved_optimal);
   EXPECT_NO_THROW(sched::validate(r.result.schedule));
-  EXPECT_EQ(r.par_stats.mode, TransportMode::kDistributed);
+  EXPECT_EQ(r.par_stats.parallel_mode, to_string(TransportMode::kDistributed));
   EXPECT_EQ(r.par_stats.effective_ppes, GetParam());
   EXPECT_GE(r.par_stats.termination_rounds, 1u);
+  // The bye frames' counter lists merged whole: one expansion count per
+  // worker, and every worker's context loads.
+  const auto& per_ppe = r.par_stats.expanded_per_ppe;
+  EXPECT_EQ(per_ppe.size(), GetParam());
+  EXPECT_EQ(r.result.stats.expanded,
+            std::accumulate(per_ppe.begin(), per_ppe.end(), std::uint64_t{0}));
+  EXPECT_GT(r.result.stats.loads_full + r.result.stats.loads_incremental, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Procs, DistProcs, ::testing::Values(1, 2, 4));

@@ -176,7 +176,7 @@ TEST(WorkStealing, StealTakesTheVictimsBestFSuffixInOneBatch) {
 
   ParallelStats stats;
   transport.collect(stats);
-  EXPECT_EQ(stats.mode, TransportMode::kWorkStealing);
+  EXPECT_EQ(stats.parallel_mode, to_string(TransportMode::kWorkStealing));
   EXPECT_EQ(stats.donations, 1u);
   EXPECT_EQ(stats.steals, 1u);
   EXPECT_EQ(stats.states_transferred, 4u);
@@ -271,7 +271,8 @@ TEST_P(WsSeeds, MatchesSerialOnRandomInstances) {
   EXPECT_DOUBLE_EQ(parallel.result.makespan, serial.makespan)
       << "seed=" << seed << " q=" << q;
   EXPECT_NO_THROW(sched::validate(parallel.result.schedule));
-  EXPECT_EQ(parallel.par_stats.mode, TransportMode::kWorkStealing);
+  EXPECT_EQ(parallel.par_stats.parallel_mode,
+            to_string(TransportMode::kWorkStealing));
   EXPECT_EQ(parallel.par_stats.expanded_per_ppe.size(), q);
   EXPECT_GT(parallel.par_stats.shards, 0u);
 }

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -402,6 +403,17 @@ TEST(Daemon, MemoryGovernorRejectsTyped) {
   daemon.wait();
 }
 
+/// The outcome minus its run-dependent counters (the elapsed time): two
+/// cold solves of one spec that both miss the cache agree on the rest.
+SolveOutcome semantic_part(SolveOutcome outcome) {
+  api::SolveStats::for_each_counter(
+      [](const util::CounterInfo& c, auto& v) {
+        if (c.cls == util::CounterClass::kRunDependent) v = {};
+      },
+      outcome.stats);
+  return outcome;
+}
+
 TEST(Daemon, ConcurrentClientsAllGetConsistentAnswers) {
   DaemonConfig config = base_config();
   config.workers = 4;
@@ -427,8 +439,9 @@ TEST(Daemon, ConcurrentClientsAllGetConsistentAnswers) {
         for (const auto& spec : specs) {
           const SolveReply reply = client.solve_raw(solve_command(spec));
           const std::lock_guard<std::mutex> lock(mu);
-          const auto [it, inserted] = seen.emplace(spec, reply.outcome);
-          if (!inserted && !(it->second == reply.outcome))
+          const SolveOutcome outcome = semantic_part(reply.outcome);
+          const auto [it, inserted] = seen.emplace(spec, outcome);
+          if (!inserted && !(it->second == outcome))
             failures.fetch_add(1);
         }
     });
@@ -443,10 +456,8 @@ TEST(Daemon, ConcurrentClientsAllGetConsistentAnswers) {
   daemon.wait();
 }
 
-/// A suite report's JSON records minus the run-dependent columns and the
-/// search counters the solve reply does not carry (it ships expanded,
-/// generated and peak_memory_bytes only, so remote runs report 0 for
-/// these), one dump() per record.
+/// A suite report's JSON records minus the run-dependent columns, one
+/// dump() per record.
 std::vector<std::string> comparable_records(
     const workload::SuiteReport& report) {
   std::ostringstream json;
@@ -456,9 +467,6 @@ std::vector<std::string> comparable_records(
   for (const auto& rec : doc.at("records").as_array()) {
     util::Json::Object fields = rec.as_object();
     for (const auto& name : workload::run_dependent_columns())
-      fields.erase(name);
-    for (const char* name : {"loads_full", "loads_incremental",
-                             "arena_hot_bytes", "arena_cold_bytes"})
       fields.erase(name);
     out.push_back(util::Json(std::move(fields)).dump());
   }
@@ -493,6 +501,25 @@ TEST(Daemon, SuiteRemoteSolverMatchesInProcessAndReplaysFromCache) {
   }
   for (const auto& rec : warm.records)
     EXPECT_TRUE(rec.stats.cache_hit) << rec.spec << " " << rec.engine;
+
+  // A remote ws run's search effort follows thread timing, so it is not
+  // compared with an in-process run; its transport counters must still
+  // arrive whole. These instances' seed frontiers feed both PPEs.
+  std::istringstream ws_in(
+      "family=forkjoin width=6 jitter=1 machine=clique:3 seeds=1..2\n");
+  config.engines = {"parallel:mode=ws:ppes=2"};
+  const workload::SuiteReport ws =
+      workload::run_suite(workload::parse_corpus(ws_in), config);
+  ASSERT_TRUE(ws.ok()) << ws.summary();
+  for (const auto& rec : ws.records) {
+    const auto& per_ppe = rec.stats.expanded_per_ppe;
+    EXPECT_EQ(rec.stats.parallel_mode, "ws") << rec.spec;
+    EXPECT_EQ(rec.stats.effective_ppes, 2u) << rec.spec;
+    EXPECT_EQ(rec.stats.search.expanded,
+              std::accumulate(per_ppe.begin(), per_ppe.end(),
+                              std::uint64_t{0}))
+        << rec.spec;
+  }
 
   daemon.stop();
   daemon.wait();

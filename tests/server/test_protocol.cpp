@@ -11,12 +11,38 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 namespace optsched::server {
 namespace {
 
 bool bits_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Every counter of api::SolveStats' list set to a distinct non-zero
+/// value; doubles get a fraction with no short decimal form.
+api::SolveStats distinct_counters() {
+  api::SolveStats stats;
+  std::uint64_t next = 1;
+  api::SolveStats::for_each_counter(
+      [&next](const util::CounterInfo&, auto& v) {
+        using T = std::decay_t<decltype(v)>;
+        const std::uint64_t k = next++;
+        if constexpr (std::is_same_v<T, std::vector<std::uint64_t>>)
+          v = {k + 1000, k};
+        else if constexpr (std::is_same_v<T, std::string>)
+          v = "mode-" + std::to_string(k);
+        else if constexpr (std::is_same_v<T, bool>)
+          v = true;
+        else if constexpr (std::is_floating_point_v<T>)
+          v = static_cast<double>(k) + 1.0 / 3.0;
+        else
+          v = static_cast<T>(k);
+      },
+      stats);
+  return stats;
 }
 
 SolveOutcome sample_outcome() {
@@ -28,9 +54,8 @@ SolveOutcome sample_outcome() {
   outcome.proved_optimal = true;
   outcome.bound_factor = 1.0;
   outcome.termination = "optimal";
-  outcome.expanded = 123;
-  outcome.generated = 456;
-  outcome.peak_memory_bytes = 1u << 20;
+  outcome.stats = distinct_counters();
+  outcome.expanded = outcome.stats.search.expanded;
   outcome.schedule = {{0, 1, 0.0, 2.5}, {1, 0, 2.5, 1.0 / 3.0}};
   return outcome;
 }
@@ -76,6 +101,20 @@ TEST(Protocol, SolveReplyRoundTripsBitExactly) {
   EXPECT_EQ(back.outcome, reply.outcome);  // defaulted ==: exact doubles
   EXPECT_TRUE(bits_equal(back.outcome.makespan, 0.1 + 0.2));
   EXPECT_TRUE(bits_equal(back.outcome.schedule[1].finish, 1.0 / 3.0));
+  // Every counter of the list crosses the wire, bit for bit.
+  std::size_t counters = 0;
+  api::SolveStats::for_each_counter(
+      [&counters](const util::CounterInfo& c, const auto& got,
+                  const auto& want) {
+        ++counters;
+        if constexpr (std::is_floating_point_v<std::decay_t<decltype(got)>>)
+          EXPECT_TRUE(bits_equal(got, want)) << c.name;
+        else
+          EXPECT_EQ(got, want) << c.name;
+      },
+      back.outcome.stats, reply.outcome.stats);
+  EXPECT_GE(counters, 30u);
+  EXPECT_EQ(back.outcome.expanded, reply.outcome.stats.search.expanded);
   EXPECT_TRUE(back.cache_hit);
   EXPECT_EQ(back.cache_lookups, 42u);
   EXPECT_EQ(back.cache_bytes, 9999u);

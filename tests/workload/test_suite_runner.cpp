@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "api/registry.hpp"
 #include "sched/list_scheduler.hpp"
@@ -30,13 +34,18 @@ family=gauss dim=3 jitter=1 machine=clique:3@1,2,4 seed=2
 
 /// Strip the trailing time_ms column so deterministic content can be
 /// compared across runs and thread counts.
+/// The CSV minus its trailing zone of run-dependent columns (numeric
+/// cells, never quoted, so each one is the text after the last comma).
 std::string csv_without_time(const SuiteReport& report) {
   std::ostringstream os;
   write_csv(report, os);
   std::string out;
   std::istringstream lines(os.str());
-  for (std::string line; std::getline(lines, line);)
-    out += line.substr(0, line.rfind(',')) + "\n";
+  for (std::string line; std::getline(lines, line);) {
+    for (std::size_t k = run_dependent_columns().size(); k > 0; --k)
+      line.erase(line.rfind(','));
+    out += line + "\n";
+  }
   return out;
 }
 
@@ -206,6 +215,7 @@ TEST(SuiteRunner, WritesWellFormedCsvAndJson) {
   EXPECT_EQ(astar.at("runs").as_number(), 10.0);
   EXPECT_EQ(astar.at("cache_hits").as_number(), 0.0);
   EXPECT_TRUE(astar.at("total_time_ms").is_number());
+  EXPECT_TRUE(astar.at("max_peak_memory_bytes").is_number());
   const auto& records = doc.at("records").as_array();
   ASSERT_EQ(records.size(), report.records.size());
   std::uint64_t total_expanded = 0;
@@ -221,6 +231,44 @@ TEST(SuiteRunner, WritesWellFormedCsvAndJson) {
   }
   EXPECT_EQ(astar.at("total_expanded").as_number(),
             static_cast<double>(total_expanded));
+}
+
+TEST(SuiteRunner, CiStripsExactlyTheRunDependentColumns) {
+  // CI's determinism diffs strip the workflow-level RUN_DEPENDENT_COLUMNS
+  // list (a YAML double-quoted scalar with `\` line continuations); it
+  // must name exactly the run-dependent columns, or a diff either fails
+  // on timing or silently skips a semantic column.
+  std::ifstream in(std::string(OPTSCHED_TEST_DATA_DIR) +
+                   "/../../.github/workflows/ci.yml");
+  ASSERT_TRUE(in) << "ci.yml not found";
+  const std::string yml((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  const std::string key = "RUN_DEPENDENT_COLUMNS: \"";
+  const std::size_t begin = yml.find(key);
+  ASSERT_NE(begin, std::string::npos);
+  const std::size_t end = yml.find('"', begin + key.size());
+  ASSERT_NE(end, std::string::npos);
+  std::string value;
+  for (std::size_t i = begin + key.size(); i < end; ++i) {
+    if (yml[i] == '\\' && yml[i + 1] == '\n') {
+      for (i += 2; yml[i] == ' '; ++i) {}
+      --i;
+      continue;
+    }
+    value += yml[i];
+  }
+  std::vector<std::string> listed;
+  std::istringstream names(value);
+  for (std::string name; std::getline(names, name, ',');)
+    listed.push_back(name);
+  EXPECT_EQ(listed, run_dependent_columns());
+
+  // ...and those columns are the CSV's trailing zone, in that order.
+  std::ostringstream csv;
+  write_csv(SuiteReport{}, csv);
+  std::string tail;
+  for (const auto& name : run_dependent_columns()) tail += "," + name;
+  EXPECT_TRUE(csv.str().ends_with(tail + "\n")) << csv.str();
 }
 
 TEST(SuiteRunner, CsvQuotesCellsHoldingSeparatorsQuotesAndNewlines) {
@@ -283,6 +331,7 @@ TEST(ChurnReport, JsonRoundTripsControlCharactersAndExactTimes) {
   ChurnRecord rec;
   rec.error = "a\r\x01" "b";
   rec.warm_time_ms = 1.0 / 3.0;
+  rec.cold_time_ms = 2.0 / 3.0;
   report.records.push_back(rec);
   std::ostringstream json;
   write_churn_json(report, json);
@@ -290,6 +339,21 @@ TEST(ChurnReport, JsonRoundTripsControlCharactersAndExactTimes) {
   const util::Json& got = doc.at("records").as_array().at(0);
   EXPECT_EQ(got.at("error").as_string(), rec.error);
   EXPECT_EQ(got.at("warm_time_ms").as_number(), rec.warm_time_ms);
+
+  // The CSV twin writes both times exactly too: they are its last two
+  // cells, and parse back to the records' doubles bit for bit.
+  std::ostringstream csv;
+  write_churn_csv(report, csv);
+  std::istringstream lines(csv.str());
+  std::string header, row;
+  ASSERT_TRUE(std::getline(lines, header));
+  ASSERT_TRUE(std::getline(lines, row));
+  EXPECT_TRUE(header.ends_with(",warm_time_ms,cold_time_ms")) << header;
+  const std::size_t cold_at = row.rfind(',');
+  const std::size_t warm_at = row.rfind(',', cold_at - 1);
+  EXPECT_EQ(std::stod(row.substr(warm_at + 1, cold_at - warm_at - 1)),
+            rec.warm_time_ms);
+  EXPECT_EQ(std::stod(row.substr(cold_at + 1)), rec.cold_time_ms);
 }
 
 }  // namespace
